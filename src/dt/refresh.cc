@@ -6,6 +6,7 @@
 
 #include "fault/injector.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 #include "ivm/state_reuse.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
@@ -420,17 +421,25 @@ Result<RefreshOutcome> RefreshEngine::Refresh(ObjectId dt_id,
     // Materialize source deltas (change interval = frontier -> v1).
     std::unordered_map<ObjectId, ChangeSet> deltas;
     bool insert_only = true;
-    for (const auto& [src, v1] : source_versions) {
-      auto it = meta->frontier.find(src);
-      if (it == meta->frontier.end()) {
-        return Internal("frontier missing source " + std::to_string(src));
+    {
+      obs::TraceSpan span("refresh", "change_scan", obj->name);
+      for (const auto& [src, v1] : source_versions) {
+        auto it = meta->frontier.find(src);
+        if (it == meta->frontier.end()) {
+          return Internal("frontier missing source " + std::to_string(src));
+        }
+        auto found = catalog_->FindById(src);
+        if (!found.ok()) return found.status();
+        DVS_ASSIGN_OR_RETURN(
+            ChangeSet cs, found.value()->storage->ScanChanges(it->second, v1));
+        insert_only = insert_only && IsInsertOnly(cs);
+        deltas.emplace(src, std::move(cs));
       }
-      auto found = catalog_->FindById(src);
-      if (!found.ok()) return found.status();
-      DVS_ASSIGN_OR_RETURN(ChangeSet cs,
-                           found.value()->storage->ScanChanges(it->second, v1));
-      insert_only = insert_only && IsInsertOnly(cs);
-      deltas.emplace(src, std::move(cs));
+      if (span.armed()) {
+        int64_t rows = 0;
+        for (const auto& [src, cs] : deltas) rows += cs.size();
+        span.AddArg("rows", rows);
+      }
     }
 
     DeltaContext dctx;

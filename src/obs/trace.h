@@ -18,6 +18,9 @@
 //   sched   / tick.plan, tick.execute, tick.finalize — the three phases.
 //   refresh / attempt          — one per engine refresh attempt, retries
 //                                included (scope = DT name, args attempt).
+//   refresh / change_scan      — the source change scans of one
+//                                incremental refresh (scope = DT name,
+//                                args rows returned).
 //   exec    / op.<PlanKind>    — one per batch-engine operator execution.
 //   serve   / query            — one per QueryService::Execute.
 //   persist / wal.append, checkpoint — durability I/O.

@@ -27,6 +27,8 @@ TableImage CaptureTable(const VersionedTable& table) {
   img.max_partition_rows = table.max_partition_rows();
   img.first_version = table.first_version();
   img.versions = table.all_versions();
+  // Deltas are not part of the image; Restore rebuilds them.
+  for (TableVersion& v : img.versions) v.delta.reset();
   img.partitions.reserve(table.all_partitions().size());
   for (const auto& [pid, part] : table.all_partitions()) {
     (void)pid;

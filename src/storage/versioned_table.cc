@@ -38,8 +38,9 @@ VersionId VersionedTable::ResolveVersionAt(HlcTimestamp ts) const {
   return std::prev(it)->id;
 }
 
-void VersionedTable::AddRowsAsPartitions(std::vector<IdRow> rows,
-                                         TableVersion* version) {
+void VersionedTable::AddRowsAsPartitions(
+    std::vector<IdRow> rows, TableVersion* version,
+    std::vector<PartitionRows>* delta_inserts) {
   size_t i = 0;
   while (i < rows.size()) {
     size_t n = std::min(max_partition_rows_, rows.size() - i);
@@ -55,6 +56,7 @@ void VersionedTable::AddRowsAsPartitions(std::vector<IdRow> rows,
     version->live.push_back(part->id);
     stats_.partitions_created += 1;
     stats_.rows_written += part->rows.size();
+    if (delta_inserts != nullptr) delta_inserts->push_back({part, {}});
     partitions_.emplace(part->id, std::move(part));
     i += n;
   }
@@ -129,7 +131,10 @@ Result<VersionId> VersionedTable::ApplyChanges(const ChangeSet& changes,
   next.commit_ts = commit_ts;
 
   // Copy-on-write: partitions untouched by deletes stay live; touched ones
-  // are removed and their surviving rows rewritten into new partitions.
+  // are removed and their surviving rows rewritten into new partitions. The
+  // delta references the deleted rows in place and the insert-only
+  // partitions; survivors are copies, not changes, and stay out of it.
+  auto delta = std::make_shared<VersionDelta>();
   std::vector<IdRow> survivors;
   const TableVersion& prev = versions_.back();
   for (PartitionId pid : prev.live) {
@@ -140,17 +145,25 @@ Result<VersionId> VersionedTable::ApplyChanges(const ChangeSet& changes,
     }
     next.removed.push_back(pid);
     const std::vector<char>& dead = t->second;
-    const MicroPartition& p = partition(pid);
-    for (size_t j = 0; j < p.rows.size(); ++j) {
-      if (!dead[j]) {
-        survivors.push_back(p.rows[j]);
+    const std::shared_ptr<const MicroPartition>& p = partitions_.at(pid);
+    PartitionRows deleted{p, {}};
+    for (size_t j = 0; j < p->rows.size(); ++j) {
+      if (dead[j]) {
+        deleted.offsets.push_back(static_cast<uint32_t>(j));
+      } else {
+        survivors.push_back(p->rows[j]);
         stats_.rows_rewritten_copy += 1;
       }
     }
+    if (deleted.offsets.size() == p->rows.size()) deleted.offsets.clear();
+    delta->deletes.push_back(std::move(deleted));
   }
   AddRowsAsPartitions(std::move(survivors), &next);
   const size_t insert_count = inserts.size();
-  AddRowsAsPartitions(std::move(inserts), &next);
+  AddRowsAsPartitions(std::move(inserts), &next, &delta->inserts);
+  if (!delta->deletes.empty() || !delta->inserts.empty()) {
+    next.delta = std::move(delta);
+  }
 
   std::sort(next.live.begin(), next.live.end());
   next.row_count = prev.row_count + insert_count - delete_count;
@@ -179,9 +192,16 @@ Result<VersionId> VersionedTable::Overwrite(std::vector<IdRow> rows,
   next.commit_ts = commit_ts;
   next.removed = versions_.back().live;
   next.row_count = rows.size();
+  auto delta = std::make_shared<VersionDelta>();
+  for (PartitionId pid : next.removed) {
+    delta->deletes.push_back({partitions_.at(pid), {}});
+  }
   row_index_.clear();
   stats_.index_rebuilds += 1;
-  AddRowsAsPartitions(std::move(rows), &next);
+  AddRowsAsPartitions(std::move(rows), &next, &delta->inserts);
+  if (!delta->deletes.empty() || !delta->inserts.empty()) {
+    next.delta = std::move(delta);
+  }
   std::sort(next.live.begin(), next.live.end());
   versions_.push_back(std::move(next));
   return versions_.back().id;
@@ -277,64 +297,80 @@ size_t VersionedTable::RowCountAt(VersionId vid) const {
   return version(vid).row_count;
 }
 
-Result<ChangeSet> VersionedTable::ScanChanges(VersionId from, VersionId to,
-                                              bool cancel_equivalent) const {
+Result<ChangeSet> VersionedTable::ScanChanges(VersionId from,
+                                              VersionId to) const {
   if (from > to || !has_version(from) || !has_version(to)) {
     return InvalidArgument("bad change-scan interval [" + std::to_string(from) +
                            ", " + std::to_string(to) + "]");
   }
+  // Per row id: the stored row it had at `from` (set by its first delete in
+  // the interval) and the one it has at `to` (its last insert, unless a
+  // later delete took it back out).
+  struct NetRow {
+    const IdRow* before = nullptr;
+    const IdRow* after = nullptr;
+  };
+  std::unordered_map<RowId, NetRow> net;
+  uint64_t rows_read = 0;
+  for (VersionId v = from + 1; v <= to; ++v) {
+    const VersionDelta* delta = version(v).delta.get();
+    if (delta == nullptr) continue;
+    for (const PartitionRows& group : delta->deletes) {
+      group.ForEach([&](const IdRow& r) {
+        ++rows_read;
+        NetRow& n = net[r.id];
+        if (n.after != nullptr) {
+          n.after = nullptr;  // inserted earlier in the interval
+        } else {
+          n.before = &r;
+        }
+      });
+    }
+    for (const PartitionRows& group : delta->inserts) {
+      group.ForEach([&](const IdRow& r) {
+        ++rows_read;
+        net[r.id].after = &r;
+      });
+    }
+  }
+  stats_.change_scan_raw_rows += rows_read;
+
+  // A row rewritten with identical content is not a logical change.
+  std::vector<const IdRow*> deletes, inserts;
+  for (const auto& [id, n] : net) {
+    if (n.before != nullptr && n.after != nullptr &&
+        RowsEqual(n.before->values, n.after->values)) {
+      continue;
+    }
+    if (n.before != nullptr) deletes.push_back(n.before);
+    if (n.after != nullptr) inserts.push_back(n.after);
+  }
+  auto by_id = [](const IdRow* a, const IdRow* b) { return a->id < b->id; };
+  std::sort(deletes.begin(), deletes.end(), by_id);
+  std::sort(inserts.begin(), inserts.end(), by_id);
+  ChangeSet out;
+  out.reserve(deletes.size() + inserts.size());
+  for (const IdRow* r : deletes) {
+    out.push_back({ChangeAction::kDelete, r->id, r->values});
+  }
+  for (const IdRow* r : inserts) {
+    out.push_back({ChangeAction::kInsert, r->id, r->values});
+  }
+  stats_.change_scan_net_rows += out.size();
+  return out;
+}
+
+size_t VersionedTable::PartitionDiffRows(VersionId from, VersionId to) const {
+  assert(has_version(from) && has_version(to) && from <= to);
   const TableVersion& vf = version(from);
   const TableVersion& vt = version(to);
-
-  // Partition-set diff (both sides sorted).
-  std::vector<PartitionId> removed, added;
-  std::set_difference(vf.live.begin(), vf.live.end(), vt.live.begin(),
-                      vt.live.end(), std::back_inserter(removed));
-  std::set_difference(vt.live.begin(), vt.live.end(), vf.live.begin(),
-                      vf.live.end(), std::back_inserter(added));
-
-  ChangeSet raw;
-  for (PartitionId pid : removed) {
-    for (const IdRow& r : partition(pid).rows) {
-      raw.push_back({ChangeAction::kDelete, r.id, r.values});
-    }
-  }
-  for (PartitionId pid : added) {
-    for (const IdRow& r : partition(pid).rows) {
-      raw.push_back({ChangeAction::kInsert, r.id, r.values});
-    }
-  }
-  stats_.change_scan_raw_rows += raw.size();
-  if (!cancel_equivalent) {
-    stats_.change_scan_net_rows += raw.size();
-    return raw;
-  }
-
-  // Cancel data-equivalent delete/insert pairs: a row rewritten with
-  // identical content (copy-on-write survivor, reclustering) is not a
-  // logical change.
-  std::unordered_map<RowId, size_t> deleted_at;
-  deleted_at.reserve(raw.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i].action == ChangeAction::kDelete) deleted_at[raw[i].row_id] = i;
-  }
-  std::vector<bool> drop(raw.size(), false);
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i].action != ChangeAction::kInsert) continue;
-    auto it = deleted_at.find(raw[i].row_id);
-    if (it == deleted_at.end()) continue;
-    if (RowsEqual(raw[i].values, raw[it->second].values)) {
-      drop[i] = true;
-      drop[it->second] = true;
-    }
-  }
-  ChangeSet net;
-  net.reserve(raw.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (!drop[i]) net.push_back(std::move(raw[i]));
-  }
-  stats_.change_scan_net_rows += net.size();
-  return net;
+  std::vector<PartitionId> diff;
+  std::set_symmetric_difference(vf.live.begin(), vf.live.end(),
+                                vt.live.begin(), vt.live.end(),
+                                std::back_inserter(diff));
+  size_t rows = 0;
+  for (PartitionId pid : diff) rows += partition(pid).rows.size();
+  return rows;
 }
 
 bool VersionedTable::HasDataChanges(VersionId from, VersionId to) const {
@@ -368,10 +404,15 @@ PruneOutcome VersionedTable::PruneVersionsBefore(VersionId keep_from) {
   versions_.erase(versions_.begin(), versions_.begin() + drop);
   first_version_ = keep_from;
   out.versions_pruned = drop;
+  // Change scans never read the first retained version's delta (it lies
+  // before every scannable interval), and its delete references point into
+  // the pruned predecessor: drop it so it does not pin freed partitions.
+  versions_.front().delta.reset();
 
-  // Free partitions no retained live set can reach. Change scans only ever
-  // dereference partitions from the live sets of their two endpoint versions,
-  // so added/removed lists of retained versions may reference freed ids.
+  // Free partitions no retained live set can reach. Every other retained
+  // delta references only its own and its predecessor's live partitions,
+  // so added/removed lists of retained versions may reference freed ids but
+  // no delta does.
   std::unordered_set<PartitionId> reachable;
   for (const TableVersion& v : versions_) {
     reachable.insert(v.live.begin(), v.live.end());
@@ -415,7 +456,62 @@ std::unique_ptr<VersionedTable> VersionedTable::Restore(
       table->row_index_[p.rows[j].id] = {pid, static_cast<uint32_t>(j)};
     }
   }
+  table->versions_.front().delta.reset();
+  for (size_t i = 1; i < table->versions_.size(); ++i) {
+    TableVersion& v = table->versions_[i];
+    v.delta = v.data_equivalent
+                  ? nullptr
+                  : table->DiffDelta(table->versions_[i - 1], v);
+  }
   return table;
+}
+
+std::shared_ptr<const VersionDelta> VersionedTable::DiffDelta(
+    const TableVersion& prev, const TableVersion& next) const {
+  std::vector<PartitionId> removed, added;
+  std::set_difference(prev.live.begin(), prev.live.end(), next.live.begin(),
+                      next.live.end(), std::back_inserter(removed));
+  std::set_difference(next.live.begin(), next.live.end(), prev.live.begin(),
+                      prev.live.end(), std::back_inserter(added));
+  if (removed.empty() && added.empty()) return nullptr;
+
+  // A row on both sides with identical content is a copy-on-write survivor
+  // (or an unchanged row an overwrite rewrote), not a change. Matched rows
+  // leave `deleted`, so what remains there is the delete side.
+  std::unordered_map<RowId, const IdRow*> deleted;
+  for (PartitionId pid : removed) {
+    for (const IdRow& r : partition(pid).rows) deleted.emplace(r.id, &r);
+  }
+  auto delta = std::make_shared<VersionDelta>();
+  // The rows of partition `pid` that `skip` rejects; a null group if none.
+  auto keep = [&](PartitionId pid, auto&& skip) {
+    PartitionRows group{partitions_.at(pid), {}};
+    const std::vector<IdRow>& rows = group.partition->rows;
+    for (size_t j = 0; j < rows.size(); ++j) {
+      if (!skip(rows[j])) group.offsets.push_back(static_cast<uint32_t>(j));
+    }
+    if (group.offsets.empty()) return PartitionRows{};
+    if (group.offsets.size() == rows.size()) group.offsets.clear();
+    return group;
+  };
+  for (PartitionId pid : added) {
+    PartitionRows group = keep(pid, [&](const IdRow& r) {
+      auto it = deleted.find(r.id);
+      if (it == deleted.end() || !RowsEqual(it->second->values, r.values)) {
+        return false;
+      }
+      deleted.erase(it);
+      return true;
+    });
+    if (group.partition) delta->inserts.push_back(std::move(group));
+  }
+  for (PartitionId pid : removed) {
+    PartitionRows group =
+        keep(pid, [&](const IdRow& r) { return deleted.count(r.id) == 0; });
+    if (group.partition) delta->deletes.push_back(std::move(group));
+  }
+  if (delta->deletes.empty() && delta->inserts.empty()) return nullptr;
+  return delta;
 }
 
 ChangeSet VersionedTable::MakeInsertChanges(std::vector<Row> rows) {

@@ -4,10 +4,16 @@
 // §5.5.2): a table is a set of immutable micro-partitions; every committed
 // change produces a new table version that adds and/or removes whole
 // partitions; versions are indexed by HLC commit timestamp, giving time
-// travel ("read as of t" = largest commit ts <= t) and change scans
-// ("changes between v0 and v1" = rows of removed partitions as deletes plus
-// rows of added partitions as inserts, with data-equivalent copied rows
-// cancelled).
+// travel ("read as of t" = largest commit ts <= t).
+//
+// Change scans ("changes between v0 and v1") read row-level change metadata,
+// not partitions: every data-changing version carries a VersionDelta that
+// references exactly the rows its commit deleted and inserted. A scan walks
+// the deltas of the versions in (v0, v1] and consolidates them per row id,
+// so its cost is O(changes) whatever the partition size. Copy-on-write
+// survivors and reclustered rows are never part of a delta, so the
+// data-equivalent operations the paper warns about (§5.5.2) cost a change
+// scan nothing; PartitionDiffRows measures what a partition diff would read.
 //
 // The in-memory representation is the documented substitution for cloud
 // object storage (DESIGN.md §5): visibility and change semantics are
@@ -39,6 +45,31 @@ struct MicroPartition {
   std::vector<IdRow> rows;
 };
 
+/// Rows of one micro-partition: the listed offsets (ascending), or every
+/// row when `offsets` is empty.
+struct PartitionRows {
+  std::shared_ptr<const MicroPartition> partition;
+  std::vector<uint32_t> offsets;
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (offsets.empty()) {
+      for (const IdRow& r : partition->rows) fn(r);
+    } else {
+      for (uint32_t o : offsets) fn(partition->rows[o]);
+    }
+  }
+};
+
+/// The logical delta of one committed version, as references to stored
+/// rows: `deletes` point into partitions of the previous version, `inserts`
+/// into the insert-only partitions the commit added. Immutable once
+/// published, so clones share it.
+struct VersionDelta {
+  std::vector<PartitionRows> deletes;
+  std::vector<PartitionRows> inserts;
+};
+
 /// One committed state of the table.
 struct TableVersion {
   VersionId id = kInvalidVersionId;
@@ -51,6 +82,11 @@ struct TableVersion {
   /// rewrite partitions without changing logical contents. NO_DATA detection
   /// skips these (the paper's "data-equivalent operations", §5.5.2).
   bool data_equivalent = false;
+  /// The rows this commit changed; null for versions that changed no data
+  /// (no-op and data-equivalent commits) and for the oldest retained
+  /// version, whose delete references would point into a pruned
+  /// predecessor. Not serialized: Restore rebuilds it.
+  std::shared_ptr<const VersionDelta> delta;
 };
 
 /// Latest-version location of a row: which partition holds it and at which
@@ -77,10 +113,10 @@ struct StorageStats {
                                       ///< in their partition was deleted
                                       ///< (copy-on-write write amplification).
   obs::Counter change_scan_raw_rows;
-                                      ///< Rows surfaced by change scans
-                                      ///< before equivalence cancellation
-                                      ///< (read amplification, §5.5.2).
-  obs::Counter change_scan_net_rows;  ///< Rows after cancellation.
+                                      ///< Stored rows change scans read
+                                      ///< from version deltas before
+                                      ///< per-row-id consolidation.
+  obs::Counter change_scan_net_rows;  ///< Rows change scans returned.
 
   // Row-id index maintenance cost. The index makes the ApplyChanges delete
   // path O(changes): exactly one point lookup per delete change
@@ -196,8 +232,8 @@ class VersionedTable {
 
   /// Rewrites storage without changing logical contents (the paper's
   /// background clustering/defragmentation, §5.5.2): merges all live
-  /// partitions into freshly packed ones. A naive change scan across this
-  /// version sees every row twice; the cancellation in ScanChanges hides it.
+  /// partitions into freshly packed ones. The version carries no delta, so
+  /// change scans across it read nothing for it.
   VersionId Recluster(HlcTimestamp commit_ts);
 
   /// Observer for maintenance commits that bypass both the transaction
@@ -238,14 +274,18 @@ class VersionedTable {
 
   size_t RowCountAt(VersionId version) const;
 
-  /// Net logical changes between two versions (from < to). With
-  /// `cancel_equivalent` (the default, matching the production system's
-  /// goal), rows that appear as both delete and insert with identical
-  /// content — e.g. copy-on-write survivors and reclustered rows — cancel
-  /// out. With false, the raw partition-diff rows are returned, exposing the
-  /// read amplification measured by E11.
-  Result<ChangeSet> ScanChanges(VersionId from, VersionId to,
-                                bool cancel_equivalent = true) const;
+  /// Net logical changes between two versions (from <= to): the deltas of
+  /// the versions in (from, to], consolidated per row id — a delete cancels
+  /// an insert made earlier in the interval, and a remaining delete/insert
+  /// pair with identical content cancels. Emits the deletes, then the
+  /// inserts, each in ascending row-id order.
+  Result<ChangeSet> ScanChanges(VersionId from, VersionId to) const;
+
+  /// Rows a partition-set diff between the two versions would read: the
+  /// summed sizes of the partitions live at exactly one endpoint. Metadata
+  /// only — materializes nothing. Measures the read amplification a naive
+  /// change scan pays for copy-on-write and reclustering (E11).
+  size_t PartitionDiffRows(VersionId from, VersionId to) const;
 
   /// True if any version in (from, to] changed data (i.e. the interval
   /// contains a non-no-op version). Powers NO_DATA detection.
@@ -256,8 +296,8 @@ class VersionedTable {
   ChangeSet MakeInsertChanges(std::vector<Row> rows);
 
   /// Zero-copy clone (§3.4): the clone shares every immutable micro-
-  /// partition with the original (only metadata is copied) and then
-  /// diverges independently — the Snowflake cloning model.
+  /// partition and version delta with the original (only metadata is
+  /// copied) and then diverges independently — the Snowflake cloning model.
   std::unique_ptr<VersionedTable> Clone() const;
 
   /// Retention GC: drops every version with id < `keep_from` and frees
@@ -286,7 +326,9 @@ class VersionedTable {
   // ---- Durability support (persist/) ----
   // Read-side accessors used by snapshot serialization, plus restore entry
   // points used by recovery. Restore rebuilds the row-id index from the
-  // latest version's live partitions (same content the live index had).
+  // latest version's live partitions (same content the live index had) and
+  // each retained version's delta from the partition diff against its
+  // predecessor.
 
   const std::vector<TableVersion>& all_versions() const { return versions_; }
   const std::unordered_map<PartitionId, std::shared_ptr<const MicroPartition>>&
@@ -321,8 +363,17 @@ class VersionedTable {
  private:
   const MicroPartition& partition(PartitionId id) const;
 
-  /// Appends rows as new partitions (chunked), registering them in `version`.
-  void AddRowsAsPartitions(std::vector<IdRow> rows, TableVersion* version);
+  /// Appends rows as new partitions (chunked), registering them in
+  /// `version`; when `delta_inserts` is set, also references each new
+  /// partition there as wholly inserted.
+  void AddRowsAsPartitions(std::vector<IdRow> rows, TableVersion* version,
+                           std::vector<PartitionRows>* delta_inserts = nullptr);
+
+  /// Delta of `next` rebuilt from its partition diff against `prev`: rows
+  /// on both sides with identical content are copies, not changes. Restore
+  /// uses it, since deltas are not serialized.
+  std::shared_ptr<const VersionDelta> DiffDelta(const TableVersion& prev,
+                                                const TableVersion& next) const;
 
   /// Shared body of the two Snapshot entry points; caller holds commit_mu_.
   ReadSnapshot SnapshotLocked(VersionId vid) const;

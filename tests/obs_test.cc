@@ -235,6 +235,44 @@ TEST(TraceTest, WriteChromeTraceShape) {
       << text;
 }
 
+TEST(TraceTest, IncrementalRefreshEmitsChangeScanSpan) {
+  VirtualClock clock(0);
+  DvsEngine engine(clock);
+  auto exec = [&engine](const std::string& sql) {
+    auto r = engine.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  };
+  exec("CREATE TABLE src (k INT, v INT)");
+  exec("INSERT INTO src VALUES (1, 10), (2, 20)");
+  exec("CREATE DYNAMIC TABLE dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+       "AS SELECT k, v FROM src WHERE v > 0");
+  exec("INSERT INTO src VALUES (3, 30)");
+  exec("UPDATE src SET v = 11 WHERE k = 1");
+  clock.Advance(kMicrosPerMinute);
+
+  obs::TraceRecorder rec;
+  {
+    obs::ScopedTraceRecorder scope(&rec);
+    auto r = engine.refresh_engine().Refresh(
+        engine.ObjectIdOf("dt").value(), clock.Now());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().action, RefreshAction::kIncremental);
+  }
+  int spans = 0;
+  for (const obs::TraceEvent& e : rec.Snapshot()) {
+    if (std::string(e.category) != "refresh" ||
+        std::string(e.name) != "change_scan") {
+      continue;
+    }
+    ++spans;
+    EXPECT_EQ(e.scope, "dt");
+    ASSERT_NE(e.arg1_name, nullptr);
+    EXPECT_STREQ(e.arg1_name, "rows");
+    EXPECT_EQ(e.arg1, 3);  // +row 3, and row 1's update as -old/+new
+  }
+  EXPECT_EQ(spans, 1);
+}
+
 // ---- Introspection table functions ----
 
 struct MiniRun {

@@ -2,11 +2,14 @@
 // sequences across partition-size configurations, the versioned table must
 // (a) reproduce exactly the model's contents at every historical version,
 // and (b) produce change scans equal to the brute-force diff of the two
-// model states — for every version pair, not just adjacent ones.
+// model states — for every version pair, not just adjacent ones — while
+// (c) reading no more stored rows than the interval's logical change
+// records, across overwrite, recluster, no-op, prune, clone and restore.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "common/rng.h"
 #include "storage/versioned_table.h"
@@ -23,14 +26,39 @@ class StoragePropertyTest : public ::testing::TestWithParam<StorageParams> {};
 
 Row R(int64_t a, int64_t b) { return {Value::Int(a), Value::Int(b)}; }
 
+// Reference model of one version's contents: row id -> row.
+using Model = std::map<RowId, Row>;
+
+// Applying `scan` to the `from` model must yield the `to` model, and every
+// delete must carry the content the row had at `from`.
+void ExpectScanMatchesModel(const ChangeSet& scan, const Model& from,
+                            const Model& to) {
+  Model state = from;
+  for (const ChangeRow& c : scan) {
+    if (c.action == ChangeAction::kDelete) {
+      auto it = state.find(c.row_id);
+      ASSERT_NE(it, state.end());
+      ASSERT_TRUE(RowsEqual(it->second, c.values));
+      state.erase(it);
+    } else {
+      ASSERT_EQ(state.count(c.row_id), 0u);
+      state[c.row_id] = c.values;
+    }
+  }
+  ASSERT_EQ(state.size(), to.size());
+  for (const auto& [rid, row] : to) {
+    ASSERT_TRUE(state.count(rid));
+    EXPECT_TRUE(RowsEqual(state[rid], row));
+  }
+}
+
 TEST_P(StoragePropertyTest, MatchesReferenceModel) {
   const StorageParams params = GetParam();
   Rng rng(params.seed);
   VersionedTable table(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}),
                        params.max_partition_rows);
 
-  // Reference model: version -> (row id -> row).
-  using Model = std::map<RowId, Row>;
+  // Reference model: version -> contents.
   std::vector<Model> history = {{}};  // version 1 = empty
   Model model;
   Micros ts = 10;
@@ -107,26 +135,172 @@ TEST_P(StoragePropertyTest, MatchesReferenceModel) {
                     static_cast<int64_t>(history.size())));
     auto scan = table.ScanChanges(from, to);
     ASSERT_TRUE(scan.ok());
-    // Apply the scan to the `from` model; must yield the `to` model.
-    Model state = history[from - 1];
-    for (const ChangeRow& c : scan.value()) {
+    SCOPED_TRACE("scan " + std::to_string(from) + " -> " + std::to_string(to));
+    ExpectScanMatchesModel(scan.value(), history[from - 1], history[to - 1]);
+  }
+}
+
+// One independently evolving table (a clone diverges into its own side) and
+// its model: contents and logical change records per retained version.
+struct Side {
+  std::unique_ptr<VersionedTable> table;
+  std::map<VersionId, Model> history;
+  std::map<VersionId, uint64_t> records;  ///< Change rows the commit made.
+  Model model;
+  Micros ts = 10;
+
+  void Committed(VersionId v, uint64_t change_records) {
+    history[v] = model;
+    records[v] = change_records;
+  }
+};
+
+// Capture -> Restore round trip, as a checkpoint does it: copies of the
+// retained versions and partitions, and the allocators.
+std::unique_ptr<VersionedTable> RoundTrip(const VersionedTable& t) {
+  std::vector<MicroPartition> parts;
+  for (const auto& [pid, p] : t.all_partitions()) parts.push_back(*p);
+  return VersionedTable::Restore(t.schema(), t.max_partition_rows(),
+                                 t.first_version(), t.all_versions(),
+                                 std::move(parts), t.next_partition_id(),
+                                 t.next_row_id());
+}
+
+TEST_P(StoragePropertyTest, DeltaScansReadOnlyLogicalChanges) {
+  const StorageParams params = GetParam();
+  Rng rng(params.seed * 7919 + 1);
+  std::vector<Side> sides(1);
+  sides[0].table = std::make_unique<VersionedTable>(
+      Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}),
+      params.max_partition_rows);
+  sides[0].Committed(1, 0);
+
+  auto random_row = [&](const Model& m) {
+    auto it = m.begin();
+    std::advance(it, rng.Uniform(0, static_cast<int64_t>(m.size()) - 1));
+    return it;
+  };
+
+  // Every sampled scan over a side's retained versions must equal the model
+  // diff and read at most the interval's change records.
+  auto check_scans = [&](Side& side, int trials) {
+    VersionedTable& t = *side.table;
+    for (int trial = 0; trial < trials; ++trial) {
+      const VersionId from = static_cast<VersionId>(
+          rng.Uniform(static_cast<int64_t>(t.first_version()),
+                      static_cast<int64_t>(t.latest_version())));
+      const VersionId to = static_cast<VersionId>(rng.Uniform(
+          static_cast<int64_t>(from), static_cast<int64_t>(t.latest_version())));
+      SCOPED_TRACE("scan " + std::to_string(from) + " -> " +
+                   std::to_string(to));
+      const uint64_t read_before = t.stats().change_scan_raw_rows;
+      auto scan = t.ScanChanges(from, to);
+      ASSERT_TRUE(scan.ok());
+      const uint64_t read = t.stats().change_scan_raw_rows - read_before;
+      uint64_t records = 0;
+      for (VersionId v = from + 1; v <= to; ++v) records += side.records.at(v);
+      EXPECT_LE(read, records);
+      ExpectScanMatchesModel(scan.value(), side.history.at(from),
+                             side.history.at(to));
+    }
+  };
+
+  for (int step = 0; step < 80; ++step) {
+    Side& side = sides[rng.Uniform(0, static_cast<int64_t>(sides.size()) - 1)];
+    VersionedTable& t = *side.table;
+    const HlcTimestamp ts{side.ts += 10, 0};
+    const double p = rng.NextDouble();
+    ChangeSet changes;
+    if (p < 0.30 || side.model.empty()) {
+      std::vector<Row> rows;
+      for (int i = rng.Uniform(1, 6); i > 0; --i) {
+        rows.push_back(R(rng.Uniform(0, 50), rng.Uniform(0, 1000)));
+      }
+      changes = t.MakeInsertChanges(std::move(rows));
+    } else if (p < 0.45) {
+      auto it = random_row(side.model);
+      for (int i = rng.Uniform(1, 3); i > 0 && it != side.model.end();
+           --i, ++it) {
+        changes.push_back({ChangeAction::kDelete, it->first, it->second});
+      }
+    } else if (p < 0.58) {
+      // Update; now and then to identical content (cancels in scans).
+      auto it = random_row(side.model);
+      Row next = rng.Bernoulli(0.2) ? it->second
+                                    : R(it->second[0].int_value(),
+                                        rng.Uniform(0, 1000));
+      changes.push_back({ChangeAction::kDelete, it->first, it->second});
+      changes.push_back({ChangeAction::kInsert, it->first, std::move(next)});
+    } else if (p < 0.66) {
+      // FULL-refresh style overwrite: keeps, changes and drops old rows
+      // under their ids and adds fresh ones.
+      std::vector<IdRow> rows;
+      Model next;
+      for (const auto& [rid, row] : side.model) {
+        const double q = rng.NextDouble();
+        if (q < 0.2) continue;
+        next[rid] = q < 0.75 ? row : R(row[0].int_value(), rng.Uniform(0, 1000));
+      }
+      for (ChangeRow& c : t.MakeInsertChanges({R(rng.Uniform(0, 50), 7)})) {
+        next[c.row_id] = std::move(c.values);
+      }
+      for (const auto& [rid, row] : next) rows.push_back({rid, row});
+      const uint64_t records = side.model.size() + next.size();
+      auto v = t.Overwrite(std::move(rows), ts);
+      ASSERT_TRUE(v.ok());
+      side.model = std::move(next);
+      side.Committed(v.value(), records);
+      continue;
+    } else if (p < 0.72) {
+      side.Committed(t.Recluster(ts), 0);
+      continue;
+    } else if (p < 0.78) {
+      side.Committed(t.CommitNoOp(ts), 0);
+      continue;
+    } else if (p < 0.86) {
+      const VersionId keep_from = static_cast<VersionId>(
+          rng.Uniform(static_cast<int64_t>(t.first_version()),
+                      static_cast<int64_t>(t.latest_version())));
+      t.PruneVersionsBefore(keep_from);
+      side.history.erase(side.history.begin(),
+                         side.history.lower_bound(t.first_version()));
+      check_scans(side, 3);
+      continue;
+    } else if (p < 0.93) {
+      if (sides.size() < 3) {
+        Side copy;
+        copy.table = t.Clone();
+        copy.history = side.history;
+        copy.records = side.records;
+        copy.model = side.model;
+        copy.ts = side.ts;
+        sides.push_back(std::move(copy));  // `side` may dangle past here
+      }
+      continue;
+    } else {
+      side.table = RoundTrip(t);
+      check_scans(side, 3);
+      continue;
+    }
+
+    ASSERT_TRUE(t.ApplyChanges(changes, ts).ok());
+    for (const ChangeRow& c : changes) {
       if (c.action == ChangeAction::kDelete) {
-        auto it = state.find(c.row_id);
-        ASSERT_NE(it, state.end());
-        ASSERT_TRUE(RowsEqual(it->second, c.values));
-        state.erase(it);
+        side.model.erase(c.row_id);
       } else {
-        ASSERT_EQ(state.count(c.row_id), 0u);
-        state[c.row_id] = c.values;
+        side.model[c.row_id] = c.values;
       }
     }
-    const Model& expected = history[to - 1];
-    ASSERT_EQ(state.size(), expected.size())
-        << "scan " << from << " -> " << to;
-    for (const auto& [rid, row] : expected) {
-      ASSERT_TRUE(state.count(rid));
-      EXPECT_TRUE(RowsEqual(state[rid], row));
+    side.Committed(t.latest_version(), changes.size());
+  }
+
+  for (Side& side : sides) {
+    for (const auto& [v, expected] : side.history) {
+      Model actual;
+      for (const IdRow& r : side.table->ScanAt(v)) actual[r.id] = r.values;
+      ASSERT_EQ(actual.size(), expected.size()) << "version " << v;
     }
+    check_scans(side, 30);
   }
 }
 
