@@ -8,6 +8,24 @@
 
 namespace dvs {
 
+namespace {
+
+// Visits the latest version's rows in scan order, in place (no copy of the
+// table), stopping at the first error `fn` returns.
+template <typename Fn>
+Status ForEachLatestRow(const VersionedTable& table, Fn&& fn) {
+  Status status = OkStatus();
+  table.VisitPartitionsAt(
+      table.latest_version(), [&](const MicroPartition& p) {
+        p.ForEach([&](const IdRow& r) {
+          if (status.ok()) status = fn(r);
+        });
+      });
+  return status;
+}
+
+}  // namespace
+
 const char* QueryIsolationName(QueryIsolation i) {
   return i == QueryIsolation::kSnapshotIsolation ? "SNAPSHOT_ISOLATION"
                                                  : "READ_COMMITTED";
@@ -409,15 +427,17 @@ Result<QueryResult> DvsEngine::ExecuteDelete(const sql::DeleteStmt& stmt) {
   ec.current_time = clock_.Now();
 
   ChangeSet changes;
-  for (const IdRow& r : obj->storage->ScanLatest()) {
-    bool match = true;
-    if (pred) {
-      DVS_ASSIGN_OR_RETURN(match, EvalPredicate(*pred, r.values, ec));
-    }
-    if (match) {
-      changes.push_back({ChangeAction::kDelete, r.id, r.values});
-    }
-  }
+  DVS_RETURN_IF_ERROR(
+      ForEachLatestRow(*obj->storage, [&](const IdRow& r) -> Status {
+        bool match = true;
+        if (pred) {
+          DVS_ASSIGN_OR_RETURN(match, EvalPredicate(*pred, r.values, ec));
+        }
+        if (match) {
+          changes.push_back({ChangeAction::kDelete, r.id, r.values});
+        }
+        return OkStatus();
+      }));
   int64_t n = static_cast<int64_t>(changes.size());
   if (n > 0) {
     auto commit = txn_.CommitWrites({{obj->storage.get(), std::move(changes), obj->id}});
@@ -459,24 +479,26 @@ Result<QueryResult> DvsEngine::ExecuteUpdate(const sql::UpdateStmt& stmt) {
 
   ChangeSet changes;
   int64_t n = 0;
-  for (const IdRow& r : obj->storage->ScanLatest()) {
-    bool match = true;
-    if (pred) {
-      DVS_ASSIGN_OR_RETURN(match, EvalPredicate(*pred, r.values, ec));
-    }
-    if (!match) continue;
-    Row updated = r.values;
-    for (const auto& [idx, e] : assignments) {
-      DVS_ASSIGN_OR_RETURN(Value v, Eval(*e, r.values, ec));
-      DVS_ASSIGN_OR_RETURN(Value coerced,
-                           CastValue(v, schema.column(idx).type));
-      updated[idx] = std::move(coerced);
-    }
-    // An update is a delete + insert with the same row id (§5.5).
-    changes.push_back({ChangeAction::kDelete, r.id, r.values});
-    changes.push_back({ChangeAction::kInsert, r.id, std::move(updated)});
-    ++n;
-  }
+  DVS_RETURN_IF_ERROR(
+      ForEachLatestRow(*obj->storage, [&](const IdRow& r) -> Status {
+        bool match = true;
+        if (pred) {
+          DVS_ASSIGN_OR_RETURN(match, EvalPredicate(*pred, r.values, ec));
+        }
+        if (!match) return OkStatus();
+        Row updated = r.values;
+        for (const auto& [idx, e] : assignments) {
+          DVS_ASSIGN_OR_RETURN(Value v, Eval(*e, r.values, ec));
+          DVS_ASSIGN_OR_RETURN(Value coerced,
+                               CastValue(v, schema.column(idx).type));
+          updated[idx] = std::move(coerced);
+        }
+        // An update is a delete + insert with the same row id (§5.5).
+        changes.push_back({ChangeAction::kDelete, r.id, r.values});
+        changes.push_back({ChangeAction::kInsert, r.id, std::move(updated)});
+        ++n;
+        return OkStatus();
+      }));
   if (n > 0) {
     auto commit = txn_.CommitWrites({{obj->storage.get(), std::move(changes), obj->id}});
     if (!commit.ok()) return commit.status();

@@ -324,6 +324,9 @@ constexpr StorageField kStorageFields[] = {
      &StorageStats::rows_written},
     {"storage.rows_rewritten_copy", "Copy-on-write amplification rows", true,
      &StorageStats::rows_rewritten_copy},
+    {"storage.rows_kept_in_place",
+     "Delete survivors kept by reference in a view", true,
+     &StorageStats::rows_kept_in_place},
     {"storage.change_scan_raw_rows", "Change-scan rows before cancellation",
      true, &StorageStats::change_scan_raw_rows},
     {"storage.change_scan_net_rows", "Change-scan rows after cancellation",

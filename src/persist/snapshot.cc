@@ -14,6 +14,8 @@ namespace {
 constexpr uint8_t kCkptImageRecord = 1;
 constexpr uint8_t kCkptEndRecord = 2;
 
+}  // namespace
+
 // Known limitation: partitions are serialized per table, so zero-copy
 // clones (§3.4) checkpoint their shared partitions once per clone and
 // recover as independent copies — checkpoint bytes and recovered resident
@@ -43,24 +45,6 @@ TableImage CaptureTable(const VersionedTable& table) {
   return img;
 }
 
-DtImage CaptureDt(const DynamicTableMeta& meta) {
-  DtImage img;
-  img.def = meta.def;
-  img.incremental = meta.incremental;
-  img.state = static_cast<uint8_t>(meta.state);
-  img.consecutive_failures = meta.consecutive_failures;
-  img.transient_failures = meta.transient_failures;
-  img.initialized = meta.initialized;
-  img.data_timestamp = meta.data_timestamp;
-  img.refresh_versions.assign(meta.refresh_versions.begin(),
-                              meta.refresh_versions.end());
-  img.frontier.assign(meta.frontier.begin(), meta.frontier.end());
-  std::sort(img.frontier.begin(), img.frontier.end());
-  img.dependencies = meta.dependencies;
-  img.needs_reinit = meta.needs_reinit;
-  return img;
-}
-
 void EncodeTableImage(Encoder* e, const TableImage& t) {
   e->EncodeSchema(t.schema);
   e->U64(t.max_partition_rows);
@@ -68,9 +52,12 @@ void EncodeTableImage(Encoder* e, const TableImage& t) {
   e->U32(static_cast<uint32_t>(t.versions.size()));
   for (const TableVersion& v : t.versions) e->EncodeTableVersion(v);
   e->U32(static_cast<uint32_t>(t.partitions.size()));
+  // A view encodes as its selected rows, exactly like the materialized
+  // partition it decodes into.
   for (const MicroPartition& p : t.partitions) {
     e->U64(p.id);
-    e->EncodeIdRows(p.rows);
+    e->U32(static_cast<uint32_t>(p.size()));
+    p.ForEach([&](const IdRow& r) { e->EncodeIdRow(r); });
   }
   e->U64(t.next_partition_id);
   e->U64(t.next_row_id);
@@ -89,12 +76,32 @@ TableImage DecodeTableImage(Decoder* d) {
   for (uint32_t i = 0; i < np && d->ok(); ++i) {
     MicroPartition p;
     p.id = d->U64();
-    p.rows = d->DecodeIdRows();
+    p.payload = std::make_shared<const std::vector<IdRow>>(d->DecodeIdRows());
     t.partitions.push_back(std::move(p));
   }
   t.next_partition_id = d->U64();
   t.next_row_id = d->U64();
   return t;
+}
+
+namespace {
+
+DtImage CaptureDt(const DynamicTableMeta& meta) {
+  DtImage img;
+  img.def = meta.def;
+  img.incremental = meta.incremental;
+  img.state = static_cast<uint8_t>(meta.state);
+  img.consecutive_failures = meta.consecutive_failures;
+  img.transient_failures = meta.transient_failures;
+  img.initialized = meta.initialized;
+  img.data_timestamp = meta.data_timestamp;
+  img.refresh_versions.assign(meta.refresh_versions.begin(),
+                              meta.refresh_versions.end());
+  img.frontier.assign(meta.frontier.begin(), meta.frontier.end());
+  std::sort(img.frontier.begin(), img.frontier.end());
+  img.dependencies = meta.dependencies;
+  img.needs_reinit = meta.needs_reinit;
+  return img;
 }
 
 void EncodeDtImage(Encoder* e, const DtImage& dt) {

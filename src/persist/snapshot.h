@@ -40,6 +40,14 @@ struct TableImage {
   RowId next_row_id = 1;
 };
 
+/// One table's storage image and its codec, the per-table part of a
+/// checkpoint. Capture shares the partitions' row payloads; encoding writes
+/// each partition's selected rows, so a view and the materialized
+/// partition it decodes into encode identically.
+TableImage CaptureTable(const VersionedTable& table);
+void EncodeTableImage(Encoder* e, const TableImage& t);
+TableImage DecodeTableImage(Decoder* d);
+
 struct DtImage {
   DynamicTableDef def;
   bool incremental = false;

@@ -7,10 +7,10 @@ namespace dvs {
 BatchVector PartitionToBatches(const MicroPartition& p) {
   BatchVector out;
   size_t start = 0;
-  while (start < p.rows.size()) {
-    const size_t width = p.rows[start].values.size();
+  while (start < p.size()) {
+    const size_t width = p.row(start).values.size();
     size_t end = start + 1;
-    while (end < p.rows.size() && p.rows[end].values.size() == width) ++end;
+    while (end < p.size() && p.row(end).values.size() == width) ++end;
 
     auto batch = std::make_shared<ColumnBatch>();
     batch->rows = end - start;
@@ -21,10 +21,9 @@ BatchVector PartitionToBatches(const MicroPartition& p) {
       c->Reserve(end - start);
     }
     for (size_t r = start; r < end; ++r) {
-      batch->ids.push_back(p.rows[r].id);
-      for (size_t c = 0; c < width; ++c) {
-        cols[c]->AppendValue(p.rows[r].values[c]);
-      }
+      const IdRow& row = p.row(r);
+      batch->ids.push_back(row.id);
+      for (size_t c = 0; c < width; ++c) cols[c]->AppendValue(row.values[c]);
     }
     batch->cols.assign(cols.begin(), cols.end());
     out.push_back(std::move(batch));

@@ -24,8 +24,8 @@ namespace dvs {
 using PartitionBatchCache =
     std::unordered_map<const MicroPartition*, BatchVector>;
 
-/// Converts one micro-partition to column batches, preserving row order and
-/// ids. Usually a single batch; rows of differing widths (possible in base
+/// Converts one micro-partition's selected rows to column batches,
+/// preserving row order and ids. Usually a single batch; rows of differing widths (possible in base
 /// tables, which do not validate row width) split into one batch per
 /// maximal uniform-width run so every batch has a well-defined width.
 BatchVector PartitionToBatches(const MicroPartition& p);

@@ -38,6 +38,19 @@ VersionId VersionedTable::ResolveVersionAt(HlcTimestamp ts) const {
   return std::prev(it)->id;
 }
 
+void VersionedTable::AddPartition(std::shared_ptr<MicroPartition> part,
+                                  TableVersion* version) {
+  part->id = next_partition_id_++;
+  for (size_t j = 0; j < part->size(); ++j) {
+    row_index_[part->row(j).id] = {part->id, static_cast<uint32_t>(j)};
+  }
+  stats_.index_entries_added += part->size();
+  stats_.partitions_created += 1;
+  version->added.push_back(part->id);
+  version->live.push_back(part->id);
+  partitions_.emplace(part->id, std::move(part));
+}
+
 void VersionedTable::AddRowsAsPartitions(
     std::vector<IdRow> rows, TableVersion* version,
     std::vector<PartitionRows>* delta_inserts) {
@@ -45,19 +58,12 @@ void VersionedTable::AddRowsAsPartitions(
   while (i < rows.size()) {
     size_t n = std::min(max_partition_rows_, rows.size() - i);
     auto part = std::make_shared<MicroPartition>();
-    part->id = next_partition_id_++;
-    part->rows.assign(std::make_move_iterator(rows.begin() + i),
-                      std::make_move_iterator(rows.begin() + i + n));
-    for (size_t j = 0; j < part->rows.size(); ++j) {
-      row_index_[part->rows[j].id] = {part->id, static_cast<uint32_t>(j)};
-    }
-    stats_.index_entries_added += part->rows.size();
-    version->added.push_back(part->id);
-    version->live.push_back(part->id);
-    stats_.partitions_created += 1;
-    stats_.rows_written += part->rows.size();
+    part->payload = std::make_shared<const std::vector<IdRow>>(
+        std::make_move_iterator(rows.begin() + i),
+        std::make_move_iterator(rows.begin() + i + n));
+    stats_.rows_written += n;
     if (delta_inserts != nullptr) delta_inserts->push_back({part, {}});
-    partitions_.emplace(part->id, std::move(part));
+    AddPartition(std::move(part), version);
     i += n;
   }
 }
@@ -120,7 +126,7 @@ Result<VersionId> VersionedTable::ApplyChanges(const ChangeSet& changes,
     stats_.index_lookups += 1;
     const RowLocation loc = it->second;  // existence validated above
     std::vector<char>& dead = touched[loc.partition];
-    if (dead.empty()) dead.resize(partition(loc.partition).rows.size(), 0);
+    if (dead.empty()) dead.resize(partition(loc.partition).size(), 0);
     dead[loc.offset] = 1;
     row_index_.erase(it);
     stats_.index_entries_removed += 1;
@@ -131,9 +137,12 @@ Result<VersionId> VersionedTable::ApplyChanges(const ChangeSet& changes,
   next.commit_ts = commit_ts;
 
   // Copy-on-write: partitions untouched by deletes stay live; touched ones
-  // are removed and their surviving rows rewritten into new partitions. The
-  // delta references the deleted rows in place and the insert-only
-  // partitions; survivors are copies, not changes, and stay out of it.
+  // are removed. If at least half a partition's worth of rows survives, a
+  // view over the same payload keeps them by reference; smaller survivor
+  // sets are copied and packed into new partitions. The rule reads only the
+  // live row count, so a materialized (recovered) table makes the same
+  // choices. The delta references the deleted rows in place and the
+  // insert-only partitions; survivors are not changes and stay out of it.
   auto delta = std::make_shared<VersionDelta>();
   std::vector<IdRow> survivors;
   const TableVersion& prev = versions_.back();
@@ -147,15 +156,24 @@ Result<VersionId> VersionedTable::ApplyChanges(const ChangeSet& changes,
     const std::vector<char>& dead = t->second;
     const std::shared_ptr<const MicroPartition>& p = partitions_.at(pid);
     PartitionRows deleted{p, {}};
-    for (size_t j = 0; j < p->rows.size(); ++j) {
-      if (dead[j]) {
-        deleted.offsets.push_back(static_cast<uint32_t>(j));
-      } else {
-        survivors.push_back(p->rows[j]);
-        stats_.rows_rewritten_copy += 1;
-      }
+    std::vector<uint32_t> kept;
+    for (size_t j = 0; j < p->size(); ++j) {
+      (dead[j] ? deleted.offsets : kept).push_back(static_cast<uint32_t>(j));
     }
-    if (deleted.offsets.size() == p->rows.size()) deleted.offsets.clear();
+    if (2 * kept.size() >= max_partition_rows_) {
+      auto view = std::make_shared<MicroPartition>();
+      view->payload = p->payload;
+      view->selection.reserve(kept.size());
+      for (uint32_t j : kept) {
+        view->selection.push_back(p->selection.empty() ? j : p->selection[j]);
+      }
+      stats_.rows_kept_in_place += kept.size();
+      AddPartition(std::move(view), &next);
+    } else {
+      for (uint32_t j : kept) survivors.push_back(p->row(j));
+      stats_.rows_rewritten_copy += kept.size();
+    }
+    if (kept.empty()) deleted.offsets.clear();
     delta->deletes.push_back(std::move(deleted));
   }
   AddRowsAsPartitions(std::move(survivors), &next);
@@ -280,8 +298,7 @@ std::vector<IdRow> VersionedTable::ScanAt(VersionId vid) const {
   std::vector<IdRow> out;
   out.reserve(v.row_count);
   for (PartitionId pid : v.live) {
-    const MicroPartition& p = partition(pid);
-    out.insert(out.end(), p.rows.begin(), p.rows.end());
+    partition(pid).ForEach([&](const IdRow& r) { out.push_back(r); });
   }
   return out;
 }
@@ -369,7 +386,7 @@ size_t VersionedTable::PartitionDiffRows(VersionId from, VersionId to) const {
                                 vt.live.begin(), vt.live.end(),
                                 std::back_inserter(diff));
   size_t rows = 0;
-  for (PartitionId pid : diff) rows += partition(pid).rows.size();
+  for (PartitionId pid : diff) rows += partition(pid).size();
   return rows;
 }
 
@@ -452,8 +469,8 @@ std::unique_ptr<VersionedTable> VersionedTable::Restore(
   table->row_index_.clear();
   for (PartitionId pid : table->versions_.back().live) {
     const MicroPartition& p = table->partition(pid);
-    for (size_t j = 0; j < p.rows.size(); ++j) {
-      table->row_index_[p.rows[j].id] = {pid, static_cast<uint32_t>(j)};
+    for (size_t j = 0; j < p.size(); ++j) {
+      table->row_index_[p.row(j).id] = {pid, static_cast<uint32_t>(j)};
     }
   }
   table->versions_.front().delta.reset();
@@ -475,23 +492,25 @@ std::shared_ptr<const VersionDelta> VersionedTable::DiffDelta(
                       prev.live.end(), std::back_inserter(added));
   if (removed.empty() && added.empty()) return nullptr;
 
-  // A row on both sides with identical content is a copy-on-write survivor
-  // (or an unchanged row an overwrite rewrote), not a change. Matched rows
-  // leave `deleted`, so what remains there is the delete side.
+  // A row on both sides with identical content is a delete's survivor (kept
+  // by a view or copied) or an unchanged row an overwrite rewrote, not a
+  // change. Matched rows leave `deleted`, so what remains there is the
+  // delete side.
   std::unordered_map<RowId, const IdRow*> deleted;
   for (PartitionId pid : removed) {
-    for (const IdRow& r : partition(pid).rows) deleted.emplace(r.id, &r);
+    partition(pid).ForEach(
+        [&](const IdRow& r) { deleted.emplace(r.id, &r); });
   }
   auto delta = std::make_shared<VersionDelta>();
   // The rows of partition `pid` that `skip` rejects; a null group if none.
   auto keep = [&](PartitionId pid, auto&& skip) {
     PartitionRows group{partitions_.at(pid), {}};
-    const std::vector<IdRow>& rows = group.partition->rows;
-    for (size_t j = 0; j < rows.size(); ++j) {
-      if (!skip(rows[j])) group.offsets.push_back(static_cast<uint32_t>(j));
+    const MicroPartition& p = *group.partition;
+    for (size_t j = 0; j < p.size(); ++j) {
+      if (!skip(p.row(j))) group.offsets.push_back(static_cast<uint32_t>(j));
     }
     if (group.offsets.empty()) return PartitionRows{};
-    if (group.offsets.size() == rows.size()) group.offsets.clear();
+    if (group.offsets.size() == p.size()) group.offsets.clear();
     return group;
   };
   for (PartitionId pid : added) {

@@ -6,14 +6,26 @@
 // partitions; versions are indexed by HLC commit timestamp, giving time
 // travel ("read as of t" = largest commit ts <= t).
 //
+// A micro-partition is an immutable, shared row payload plus an optional
+// selection of the payload rows it holds. A delete that leaves at least half
+// a partition's worth of survivors (2 * survivors >= max_partition_rows)
+// replaces the partition with a *view*: a fresh partition id over the same
+// payload that selects only the survivors, so no surviving row is copied and
+// a view's payload never holds more than twice its live rows. Smaller
+// survivor sets are copied and packed into fresh partitions. Row offsets
+// (RowLocation, VersionDelta) are ordinals within a partition's selected
+// rows, so a materialized copy of a view (what recovery builds) has the same
+// ids, offsets and encoding as the view itself.
+//
 // Change scans ("changes between v0 and v1") read row-level change metadata,
 // not partitions: every data-changing version carries a VersionDelta that
 // references exactly the rows its commit deleted and inserted. A scan walks
 // the deltas of the versions in (v0, v1] and consolidates them per row id,
-// so its cost is O(changes) whatever the partition size. Copy-on-write
-// survivors and reclustered rows are never part of a delta, so the
-// data-equivalent operations the paper warns about (§5.5.2) cost a change
-// scan nothing; PartitionDiffRows measures what a partition diff would read.
+// so its cost is O(changes) whatever the partition size. Survivors kept by a
+// view or copied on write, and reclustered rows, are never part of a delta,
+// so the data-equivalent operations the paper warns about (§5.5.2) cost a
+// change scan nothing; PartitionDiffRows measures what a partition diff
+// would read.
 //
 // The in-memory representation is the documented substitution for cloud
 // object storage (DESIGN.md §5): visibility and change semantics are
@@ -39,14 +51,34 @@
 
 namespace dvs {
 
-/// An immutable chunk of rows. Never mutated after registration.
+/// An immutable chunk of rows. Never mutated after registration. The rows
+/// live in `payload`, which views share with the partition they were cut
+/// from; `selection` lists the payload indices this partition holds
+/// (ascending), or is empty when it holds every payload row. Read rows only
+/// through size() / row() / ForEach, whose ordinals index the selected rows.
 struct MicroPartition {
   PartitionId id = 0;
-  std::vector<IdRow> rows;
+  std::shared_ptr<const std::vector<IdRow>> payload;
+  std::vector<uint32_t> selection;
+
+  size_t size() const {
+    return selection.empty() ? payload->size() : selection.size();
+  }
+  const IdRow& row(size_t i) const {
+    return (*payload)[selection.empty() ? i : selection[i]];
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (selection.empty()) {
+      for (const IdRow& r : *payload) fn(r);
+    } else {
+      for (uint32_t i : selection) fn((*payload)[i]);
+    }
+  }
 };
 
-/// Rows of one micro-partition: the listed offsets (ascending), or every
-/// row when `offsets` is empty.
+/// Rows of one micro-partition: the listed offsets (ascending ordinals of
+/// its selected rows), or every row when `offsets` is empty.
 struct PartitionRows {
   std::shared_ptr<const MicroPartition> partition;
   std::vector<uint32_t> offsets;
@@ -54,9 +86,9 @@ struct PartitionRows {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     if (offsets.empty()) {
-      for (const IdRow& r : partition->rows) fn(r);
+      partition->ForEach(fn);
     } else {
-      for (uint32_t o : offsets) fn(partition->rows[o]);
+      for (uint32_t o : offsets) fn(partition->row(o));
     }
   }
 };
@@ -89,8 +121,9 @@ struct TableVersion {
   std::shared_ptr<const VersionDelta> delta;
 };
 
-/// Latest-version location of a row: which partition holds it and at which
-/// offset. Maintained incrementally by the row-id index.
+/// Latest-version location of a row: which partition holds it and its
+/// ordinal among that partition's selected rows. Maintained incrementally by
+/// the row-id index.
 struct RowLocation {
   PartitionId partition = 0;
   uint32_t offset = 0;
@@ -107,11 +140,15 @@ struct RowLocation {
 /// per-table structs into the metrics registry (`storage.*`).
 struct StorageStats {
   obs::Counter partitions_created;
-  obs::Counter rows_written;  ///< Rows copied into new partitions.
+  obs::Counter rows_written;  ///< Rows whose values were copied into a
+                              ///< new partition.
   obs::Counter rows_rewritten_copy;
                                       ///< Rows copied only because a sibling
                                       ///< in their partition was deleted
                                       ///< (copy-on-write write amplification).
+  obs::Counter rows_kept_in_place;
+                                      ///< Survivors of a delete carried by
+                                      ///< reference into a view, not copied.
   obs::Counter change_scan_raw_rows;
                                       ///< Stored rows change scans read
                                       ///< from version deltas before
@@ -369,6 +406,11 @@ class VersionedTable {
   void AddRowsAsPartitions(std::vector<IdRow> rows, TableVersion* version,
                            std::vector<PartitionRows>* delta_inserts = nullptr);
 
+  /// Registers `part` (its id freshly allocated) as live in `version` and
+  /// indexes its rows.
+  void AddPartition(std::shared_ptr<MicroPartition> part,
+                    TableVersion* version);
+
   /// Delta of `next` rebuilt from its partition diff against `prev`: rows
   /// on both sides with identical content are copies, not changes. Restore
   /// uses it, since deltas are not serialized.
@@ -382,8 +424,8 @@ class VersionedTable {
   size_t max_partition_rows_;
   std::unordered_map<PartitionId, std::shared_ptr<const MicroPartition>> partitions_;
   std::vector<TableVersion> versions_;
-  /// row id -> (partition, offset), maintained incrementally for the latest
-  /// version across ApplyChanges commits; rebuilt wholesale only by
+  /// row id -> (partition, ordinal), maintained incrementally for the latest
+  /// version across ApplyChanges commits (a view re-indexes its survivors); rebuilt wholesale only by
   /// Overwrite/Recluster. Turns delete location and validation into
   /// O(changes) point lookups instead of partition scans.
   std::unordered_map<RowId, RowLocation> row_index_;

@@ -3,7 +3,9 @@
 // 4, recovered schedulers continue exactly where the live one would,
 // checkpoint policy rotates the WAL, ALTER / suspend / DDL survive
 // restarts, and retention GC bounds resident versions while every
-// incremental refresh still succeeds.
+// incremental refresh still succeeds. Copy-on-write views formed before and
+// after a checkpoint replay identically on the materialized recovered
+// tables.
 
 #include <gtest/gtest.h>
 
@@ -203,6 +205,98 @@ TEST_P(RecoveryTest, RecoveredSystemIsByteIdenticalToLive) {
   Churn(*sys.engine, rsched, 9, 3, &rec_key);
   EXPECT_EQ(LogBytes(rsched.log()), LogBytes(sched.log()));
   ExpectSameRows(engine, *sys.engine, "SELECT k, c, s FROM agg ORDER BY k");
+}
+
+TEST_P(RecoveryTest, ViewsReplayIdenticallyAcrossCheckpoint) {
+  // UPDATEs on a three-partition base table (10,000 rows, 4,096-row
+  // partitions) keep most survivors by reference in copy-on-write views and
+  // copy the rest, both before the last checkpoint and in the WAL suffix
+  // after it. The recovered tables are materialized, yet replay and later
+  // commits must make the same choices: identical bytes, log, contents and
+  // row-id locations.
+  const int workers = GetParam();
+  const std::string dir = UniqueDir("views_w" + std::to_string(workers));
+
+  VirtualClock clock(0);
+  DvsEngine engine(clock);
+  // Each round below runs two scheduler ticks: the policy checkpoints
+  // exactly once, after the first two rounds.
+  auto manager = Manager::Open({dir, /*checkpoint_every_n_ticks=*/4}).take();
+  ASSERT_TRUE(manager->Attach(&engine).ok());
+  SchedulerOptions opts;
+  opts.worker_threads = workers;
+  opts.persistence = manager.get();
+  Scheduler sched(&engine, &clock, opts);
+
+  Exec(engine, "CREATE TABLE big (k INT, g INT, v INT)");
+  std::string insert = "INSERT INTO big VALUES ";
+  for (int k = 0; k < 10000; ++k) {
+    insert += (k == 0 ? "(" : ", (") + std::to_string(k) + ", " +
+              std::to_string(k % 16) + ", " + std::to_string(k % 97) + ")";
+  }
+  Exec(engine, insert);
+  Exec(engine,
+       "CREATE DYNAMIC TABLE big_sum TARGET_LAG = '2 minutes' WAREHOUSE = wh "
+       "AS SELECT g, COUNT(*) AS c, SUM(v) AS s FROM big GROUP BY g");
+  const StorageStats& stats =
+      engine.catalog().Find("big").value()->storage->stats();
+  int tick = 0;
+  auto round = [&](const std::string& sql) {
+    Exec(engine, sql);
+    sched.RunUntil(kCanonicalBasePeriod * 2 * (++tick));
+  };
+
+  // Before the checkpoint: 90% of each full partition survives (a view),
+  // then a view of that view.
+  const uint64_t checkpoints = manager->checkpoints_taken();
+  round("UPDATE big SET v = v + 1 WHERE k % 10 = 3");
+  round("UPDATE big SET v = v + 2 WHERE k % 10 = 7");
+  ASSERT_GT(manager->checkpoints_taken(), checkpoints);
+  const uint64_t kept_before = stats.rows_kept_in_place;
+  ASSERT_GT(kept_before, 0u);
+
+  // In the WAL suffix: another view, then survivor sets below half a
+  // partition, which are copied.
+  const uint64_t checkpoints_after = manager->checkpoints_taken();
+  Exec(engine, "UPDATE big SET v = v + 3 WHERE k % 10 = 9");
+  round("UPDATE big SET v = v * 2 WHERE k % 10 < 6");
+  ASSERT_EQ(manager->checkpoints_taken(), checkpoints_after);
+  EXPECT_GT(stats.rows_kept_in_place, kept_before);
+  EXPECT_GT(stats.rows_rewritten_copy, 0u);
+  ASSERT_TRUE(manager->wal_status().ok()) << manager->wal_status().ToString();
+
+  SchedulerPersistState live_state = sched.ExportState();
+  const std::string live_fp = Fingerprint(engine, &live_state);
+  VirtualClock rclock(0);
+  auto recovered = Recover(dir, &rclock);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  RecoveredSystem sys = recovered.take();
+  rclock.AdvanceTo(clock.Now());
+  EXPECT_EQ(Fingerprint(*sys.engine, &sys.sched), live_fp);
+  EXPECT_EQ(LogBytes(sys.sched.log), LogBytes(sched.log()));
+  ExpectSameRows(engine, *sys.engine, "SELECT g, c, s FROM big_sum ORDER BY g");
+  ExpectSameSourceChangeScans(engine, *sys.engine);
+
+  // A commit after recovery forms the same view on the materialized table.
+  const std::string update = "UPDATE big SET v = v + 5 WHERE k % 10 = 8";
+  Exec(engine, update);
+  Exec(*sys.engine, update);
+  ExpectSameRows(engine, *sys.engine, "SELECT k, g, v FROM big ORDER BY k");
+  const VersionedTable& a = *engine.catalog().Find("big").value()->storage;
+  const VersionedTable& b = *sys.engine->catalog().Find("big").value()->storage;
+  EXPECT_GT(b.stats().rows_kept_in_place, 0u);
+  Encoder ea, eb;
+  EncodeTableImage(&ea, CaptureTable(a));
+  EncodeTableImage(&eb, CaptureTable(b));
+  EXPECT_EQ(ea.Take(), eb.Take());
+  for (const IdRow& row : a.ScanLatest()) {
+    const RowLocation* la = a.FindRow(row.id);
+    const RowLocation* lb = b.FindRow(row.id);
+    ASSERT_NE(la, nullptr);
+    ASSERT_NE(lb, nullptr);
+    EXPECT_EQ(la->partition, lb->partition);
+    EXPECT_EQ(la->offset, lb->offset);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, RecoveryTest, ::testing::Values(0, 4));

@@ -70,18 +70,25 @@ TEST(RowIndexTest, DeleteLookupsEqualDeleteChangeCount) {
 }
 
 TEST(RowIndexTest, LocationsAreExact) {
-  // Deleting one row must rewrite only its own partition: with 8 rows in
-  // 4-row partitions, the copy-on-write survivor count is exactly 3 — which
-  // is only possible if the index pointed at the right partition.
+  // Deleting one row must replace only its own partition: with 8 rows in
+  // 4-row partitions, exactly 3 survivors are kept (by reference, in a view:
+  // 3 of 4 is at least half a partition) and the other partition stays
+  // live — which is only possible if the index pointed at the right one.
   VersionedTable t(TwoCol(), /*max_partition_rows=*/4);
   ChangeSet inserts = t.MakeInsertChanges(ManyRows(8));
   ASSERT_TRUE(t.ApplyChanges(inserts, {10, 0}).ok());
+  const PartitionId untouched = t.FindRow(inserts[0].row_id)->partition;
 
   ChangeSet del = {{ChangeAction::kDelete, inserts[5].row_id,
                     inserts[5].values}};
-  const uint64_t copies_before = t.stats().rows_rewritten_copy;
+  const uint64_t written_before = t.stats().rows_written;
   ASSERT_TRUE(t.ApplyChanges(del, {20, 0}).ok());
-  EXPECT_EQ(t.stats().rows_rewritten_copy - copies_before, 3u);
+  EXPECT_EQ(t.stats().rows_kept_in_place, 3u);
+  EXPECT_EQ(t.stats().rows_rewritten_copy, 0u);
+  EXPECT_EQ(t.stats().rows_written, written_before);
+  const std::vector<PartitionId>& live = t.version(t.latest_version()).live;
+  EXPECT_TRUE(std::count(live.begin(), live.end(), untouched));
+  EXPECT_EQ(t.FindRow(inserts[0].row_id)->partition, untouched);
 }
 
 TEST(RowIndexTest, IncrementalMaintenanceAcrossVersions) {

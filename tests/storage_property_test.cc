@@ -5,6 +5,10 @@
 // model states — for every version pair, not just adjacent ones — while
 // (c) reading no more stored rows than the interval's logical change
 // records, across overwrite, recluster, no-op, prune, clone and restore.
+// A third sweep drives deletes across the half-partition threshold in both
+// directions, so survivors are kept by reference in copy-on-write views or
+// copied, and checks views through clones, pruning and a checkpoint round
+// trip.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,8 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "persist/snapshot.h"
+#include "storage/batch_scan.h"
 #include "storage/versioned_table.h"
 
 namespace dvs {
@@ -155,15 +161,23 @@ struct Side {
   }
 };
 
-// Capture -> Restore round trip, as a checkpoint does it: copies of the
-// retained versions and partitions, and the allocators.
-std::unique_ptr<VersionedTable> RoundTrip(const VersionedTable& t) {
-  std::vector<MicroPartition> parts;
-  for (const auto& [pid, p] : t.all_partitions()) parts.push_back(*p);
-  return VersionedTable::Restore(t.schema(), t.max_partition_rows(),
-                                 t.first_version(), t.all_versions(),
-                                 std::move(parts), t.next_partition_id(),
-                                 t.next_row_id());
+// The checkpoint bytes of one table: capture, then encode.
+std::string EncodeTable(const VersionedTable& t) {
+  persist::Encoder e;
+  persist::EncodeTableImage(&e, persist::CaptureTable(t));
+  return e.Take();
+}
+
+// Checkpoint round trip: encode, decode, restore (a materialized copy).
+std::unique_ptr<VersionedTable> RecoverTable(const VersionedTable& t) {
+  const std::string bytes = EncodeTable(t);
+  persist::Decoder d(bytes);
+  persist::TableImage img = persist::DecodeTableImage(&d);
+  EXPECT_TRUE(d.ok());
+  return VersionedTable::Restore(
+      img.schema, img.max_partition_rows, img.first_version,
+      std::move(img.versions), std::move(img.partitions),
+      img.next_partition_id, img.next_row_id);
 }
 
 TEST_P(StoragePropertyTest, DeltaScansReadOnlyLogicalChanges) {
@@ -278,7 +292,7 @@ TEST_P(StoragePropertyTest, DeltaScansReadOnlyLogicalChanges) {
       }
       continue;
     } else {
-      side.table = RoundTrip(t);
+      side.table = RecoverTable(t);
       check_scans(side, 3);
       continue;
     }
@@ -303,6 +317,192 @@ TEST_P(StoragePropertyTest, DeltaScansReadOnlyLogicalChanges) {
     check_scans(side, 30);
   }
 }
+
+class StorageViewTest : public ::testing::TestWithParam<StorageParams> {};
+
+void ApplyToModel(const ChangeSet& changes, Model* model) {
+  for (const ChangeRow& c : changes) {
+    if (c.action == ChangeAction::kDelete) {
+      model->erase(c.row_id);
+    } else {
+      (*model)[c.row_id] = c.values;
+    }
+  }
+}
+
+
+// A random commit on `t` over contents `model`: a bulk insert, or deletes
+// or updates of a random number of the rows of one live partition, so the
+// partition's survivors land on either side of the view threshold.
+ChangeSet RandomViewCommit(VersionedTable& t, const Model& model, Rng& rng) {
+  const int64_t cap = static_cast<int64_t>(t.max_partition_rows());
+  const double p = rng.NextDouble();
+  if (p < 0.3 || static_cast<int64_t>(model.size()) < cap) {
+    std::vector<Row> rows;
+    for (int64_t i = rng.Uniform(1, 2 * cap); i > 0; --i) {
+      rows.push_back(R(rng.Uniform(0, 50), rng.Uniform(0, 1000)));
+    }
+    return t.MakeInsertChanges(std::move(rows));
+  }
+  auto pick = model.begin();
+  std::advance(pick, rng.Uniform(0, static_cast<int64_t>(model.size()) - 1));
+  const PartitionId pid = t.FindRow(pick->first)->partition;
+  std::vector<RowId> members;
+  for (const auto& [rid, row] : model) {
+    if (t.FindRow(rid)->partition == pid) members.push_back(rid);
+  }
+  const int64_t n = static_cast<int64_t>(members.size());
+  const bool update = p >= 0.65;
+  ChangeSet changes;
+  for (int64_t k = rng.Uniform(1, n); k > 0; --k) {
+    const int64_t j = rng.Uniform(0, static_cast<int64_t>(members.size()) - 1);
+    const RowId rid = members[static_cast<size_t>(j)];
+    members.erase(members.begin() + j);
+    const Row& row = model.at(rid);
+    changes.push_back({ChangeAction::kDelete, rid, row});
+    if (update) {
+      changes.push_back({ChangeAction::kInsert, rid,
+                         R(row[0].int_value(), rng.Uniform(0, 1000))});
+    }
+  }
+  return changes;
+}
+
+struct ViewSide {
+  std::unique_ptr<VersionedTable> table;
+  std::map<VersionId, Model> history;
+  Model model;
+  Micros ts = 10;
+
+  void Commit(const ChangeSet& changes) {
+    ASSERT_TRUE(table->ApplyChanges(changes, {ts += 10, 0}).ok());
+    ApplyToModel(changes, &model);
+    history[table->latest_version()] = model;
+  }
+};
+
+// Every retained version scans to the model (by rows and by column
+// batches), every change scan between retained versions equals the model
+// diff, every live row is where the row-id index says, and no partition's
+// payload exceeds twice its rows.
+void ExpectSideMatchesModel(const ViewSide& side) {
+  const VersionedTable& t = *side.table;
+  for (const auto& [v, expected] : side.history) {
+    const std::vector<IdRow> rows = t.ScanAt(v);
+    const std::vector<IdRow> batched =
+        BatchesToRows(ScanBatchesAt(t, v, /*cache=*/nullptr));
+    ASSERT_EQ(batched.size(), rows.size()) << "version " << v;
+    Model actual;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(batched[i].id, rows[i].id);
+      EXPECT_TRUE(RowsEqual(batched[i].values, rows[i].values));
+      actual[rows[i].id] = rows[i].values;
+    }
+    ASSERT_EQ(actual.size(), expected.size()) << "version " << v;
+    for (const auto& [rid, row] : expected) {
+      ASSERT_TRUE(actual.count(rid)) << "version " << v << " row " << rid;
+      EXPECT_TRUE(RowsEqual(actual[rid], row));
+    }
+  }
+  for (const auto& [from, from_model] : side.history) {
+    for (auto it = side.history.find(from); it != side.history.end(); ++it) {
+      SCOPED_TRACE("scan " + std::to_string(from) + " -> " +
+                   std::to_string(it->first));
+      auto scan = t.ScanChanges(from, it->first);
+      ASSERT_TRUE(scan.ok());
+      ExpectScanMatchesModel(scan.value(), from_model, it->second);
+    }
+  }
+  for (const auto& [rid, row] : side.model) {
+    const RowLocation* loc = t.FindRow(rid);
+    ASSERT_NE(loc, nullptr) << "row " << rid;
+    const IdRow& stored =
+        t.all_partitions().at(loc->partition)->row(loc->offset);
+    EXPECT_EQ(stored.id, rid);
+    EXPECT_TRUE(RowsEqual(stored.values, row));
+  }
+  for (const auto& [pid, part] : t.all_partitions()) {
+    EXPECT_LE(part->payload->size(), 2 * part->size()) << "partition " << pid;
+  }
+}
+
+TEST_P(StorageViewTest, ViewsMatchModelThroughCloneGcAndRecovery) {
+  const StorageParams params = GetParam();
+  Rng rng(params.seed * 104729 + params.max_partition_rows);
+  std::vector<ViewSide> sides(1);
+  sides[0].table = std::make_unique<VersionedTable>(
+      Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}),
+      params.max_partition_rows);
+  sides[0].history[1] = {};
+  uint64_t kept = 0, copied = 0;
+
+  for (int step = 0; step < 60; ++step) {
+    ViewSide& side =
+        sides[rng.Uniform(0, static_cast<int64_t>(sides.size()) - 1)];
+    VersionedTable& t = *side.table;
+    const double p = rng.NextDouble();
+    if (p < 0.70) {
+      side.Commit(RandomViewCommit(t, side.model, rng));
+    } else if (p < 0.78) {
+      t.PruneVersionsBefore(static_cast<VersionId>(
+          rng.Uniform(static_cast<int64_t>(t.first_version()),
+                      static_cast<int64_t>(t.latest_version()))));
+      side.history.erase(side.history.begin(),
+                         side.history.lower_bound(t.first_version()));
+    } else if (p < 0.86) {
+      if (sides.size() < 3) {
+        ViewSide copy;
+        copy.table = t.Clone();
+        copy.history = side.history;
+        copy.model = side.model;
+        copy.ts = side.ts;
+        sides.push_back(std::move(copy));  // `side` may dangle past here
+      }
+    } else {
+      // The recovered copy is materialized, yet it must make the live
+      // copy's view choices: identical commits keep the two byte-identical.
+      ViewSide recovered;
+      recovered.table = RecoverTable(t);
+      recovered.history = side.history;
+      recovered.model = side.model;
+      recovered.ts = side.ts;
+      ASSERT_EQ(EncodeTable(*recovered.table), EncodeTable(t));
+      for (int i = 0; i < 3; ++i) {
+        ChangeSet changes = RandomViewCommit(t, side.model, rng);
+        recovered.table->RestoreNextRowId(t.next_row_id());
+        side.Commit(changes);
+        recovered.Commit(changes);
+        ASSERT_EQ(EncodeTable(*recovered.table), EncodeTable(t));
+      }
+      ExpectSideMatchesModel(side);
+      kept += t.stats().rows_kept_in_place;
+      copied += t.stats().rows_rewritten_copy;
+      side = std::move(recovered);
+    }
+  }
+  for (const ViewSide& side : sides) {
+    ExpectSideMatchesModel(side);
+    kept += side.table->stats().rows_kept_in_place;
+    copied += side.table->stats().rows_rewritten_copy;
+  }
+  // Both sides of the threshold were exercised.
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(copied, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, StorageViewTest,
+    ::testing::ValuesIn([] {
+      std::vector<StorageParams> out;
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        for (size_t part : {4u, 8u, 64u}) out.push_back({seed, part});
+      }
+      return out;
+    }()),
+    [](const ::testing::TestParamInfo<StorageParams>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_part" +
+             std::to_string(info.param.max_partition_rows);
+    });
 
 std::vector<StorageParams> StorageSweep() {
   std::vector<StorageParams> out;
