@@ -19,7 +19,7 @@ int main() {
   DvsEngine engine(clock);
   SchedulerOptions opts;
   opts.cost_model.fixed_cost = 10 * kMicrosPerSecond;
-  opts.cost_model.cost_per_krow = 1500 * kMicrosPerSecond;  // starved
+  opts.cost_model.cost_per_krow = 3000 * kMicrosPerSecond;  // starved
   Scheduler sched(&engine, &clock, opts);
   Rng rng(11);
 

@@ -65,7 +65,7 @@ const char kDeterministicColumns[] =
     "name, refresh_ts, action, outcome, operator, op_tag, rows_in, rows_out, "
     "batches, join_build_hits, join_build_misses, join_probe_hits, "
     "join_probe_misses, batch_cache_hits, batch_cache_misses, sel_memo_hits, "
-    "vector_bails, row_redos";
+    "vector_bails, row_redos, state_groups, recomputed_groups";
 
 std::string RenderResult(const QueryResult& qr) {
   std::string out = qr.schema.ToString();

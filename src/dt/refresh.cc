@@ -7,7 +7,6 @@
 #include "fault/injector.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "ivm/state_reuse.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -471,34 +470,22 @@ Result<RefreshOutcome> RefreshEngine::Refresh(ObjectId dt_id,
     dctx.eval_start.current_time = start_ts;
     dctx.eval_end.current_time = refresh_ts;
     dctx.profile = psink;
+    // The DT's latest version is the query's result at I0: its rows, read
+    // by row id, are the stored state an aggregate derivative adjusts.
+    const VersionedTable* dt_storage = obj->storage.get();
+    dctx.stored_row = [dt_storage](RowId id) -> const Row* {
+      const IdRow* row = dt_storage->FindLatestRow(id);
+      return row == nullptr ? nullptr : &row->values;
+    };
 
-    ChangeSet changes;
-    if (options_.enable_state_reuse) {
-      std::string why;
-      if (StateReuseApplicable(*meta->plan, &why)) {
-        std::vector<IdRow> stored = obj->storage->ScanLatest();
-        DVS_ASSIGN_OR_RETURN(
-            StateReuseResult sr,
-            DifferentiateAggregateWithState(*meta->plan, stored, dctx));
-        if (sr.applicable) {
-          changes = std::move(sr.changes);
-          out.used_state_reuse = true;
-          out.rows_processed = sr.rows_processed;
-          out.change_stats = sr.stats;
-        }
-      }
-    }
-    if (!out.used_state_reuse) {
-      DVS_ASSIGN_OR_RETURN(
-          DeltaResult dr,
-          Differentiate(*meta->plan, dctx,
-                        insert_only &&
-                            options_.enable_insert_only_optimization));
-      changes = std::move(dr.changes);
-      out.consolidation_skipped = dr.consolidation_skipped;
-      out.rows_processed = dctx.rows_processed;
-      out.change_stats = dr.stats;
-    }
+    DVS_ASSIGN_OR_RETURN(
+        DeltaResult dr,
+        Differentiate(*meta->plan, dctx,
+                      insert_only && options_.enable_insert_only_optimization));
+    ChangeSet changes = std::move(dr.changes);
+    out.consolidation_skipped = dr.consolidation_skipped;
+    out.rows_processed = dctx.rows_processed;
+    out.change_stats = dr.stats;
 
     out.changes_applied = changes.size();
     if (changes.empty()) {

@@ -61,13 +61,9 @@ struct RefreshOutcome {
   ChangeStats change_stats;
   size_t dt_row_count = 0;
   bool consolidation_skipped = false;
-  bool used_state_reuse = false;
 };
 
 struct RefreshEngineOptions {
-  /// E12 extension: use the state-reusing aggregation derivative when
-  /// applicable.
-  bool enable_state_reuse = false;
   /// §5.5.2 insert-only specialization (skip consolidation when provable).
   bool enable_insert_only_optimization = true;
   /// Consecutive failures before auto-suspend (§3.3.3).

@@ -478,7 +478,7 @@ void FoldAgg(const Expr& agg, AggAccum& a, const Value& v) {
       }
       a.any = true;
       if (v.type() == DataType::kInt64) {
-        a.isum += v.int_value();
+        a.isum = SumAdd(a.isum, v.int_value());
       } else {
         a.all_int = false;
       }

@@ -536,7 +536,9 @@ Result<std::vector<IdRow>> ComputeWindowRows(const PlanNode& n,
             if (v.type() != DataType::kInt64) all_int = false;
             if (v.is_numeric()) {
               sum += v.AsDouble();
-              if (v.type() == DataType::kInt64) isum += v.int_value();
+              if (v.type() == DataType::kInt64) {
+                isum = SumAdd(isum, v.int_value());
+              }
             }
             if (minv.is_null() || v.Compare(minv) < 0) minv = v;
             if (maxv.is_null() || v.Compare(maxv) > 0) maxv = v;
@@ -636,7 +638,7 @@ Result<Row> ComputeAggregates(const std::vector<ExprPtr>& aggregates,
           if (!v.is_numeric()) return UserError("SUM over non-numeric value");
           any = true;
           if (v.type() == DataType::kInt64) {
-            isum += v.int_value();
+            isum = SumAdd(isum, v.int_value());
           } else {
             all_int = false;
           }

@@ -96,6 +96,14 @@ class KeyExtractor {
   bool has_null_ = false;
 };
 
+/// One step of an INT64 SUM: wraps modulo 2^64, so a sum whose true value
+/// fits is exact whatever the member order or intermediate overflow, and
+/// every engine (and the differentiator's stored-state path) agrees.
+inline int64_t SumAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// Evaluates the aggregate calls in an Aggregate node over the member rows
 /// of one group, producing the aggregate output columns.
 Result<Row> ComputeAggregates(const std::vector<ExprPtr>& aggregates,

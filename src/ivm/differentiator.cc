@@ -6,6 +6,7 @@
 
 #include "common/key_hash.h"
 #include "exec/row_id.h"
+#include "ivm/incrementality.h"
 #include "obs/profile.h"
 
 namespace dvs {
@@ -420,16 +421,16 @@ bool RestrictBatches(const BatchVector& in,
   return true;
 }
 
-// Δ(γ): affected-group recompute. For scalar aggregation (no GROUP BY) the
-// single global row is affected whenever the input delta is non-empty.
+// Δ(γ), recompute form: re-aggregates the members of the groups in `ks`
+// (every member when `ks` is null: scalar aggregation, whose single global
+// row is affected whenever the input delta is non-empty) at both endpoints,
+// emitting the old rows as deletes and the new rows as inserts.
 //
 // When batch snapshots are available the restrict + recompute runs
 // columnarly (identical results, ids, and rows_processed); otherwise — and
 // on any vectorized evaluation failure — the row path below runs unchanged.
-Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(ChangeSet din, Delta(*n.children[0], ctx));
-  if (din.empty()) return ChangeSet{};
-
+Status RecomputeGroups(const PlanNode& n, const KeySet* ks,
+                       const DeltaContext& ctx, ChangeSet* out) {
   DVS_ASSIGN_OR_RETURN(const BatchVector* b0,
                        SnapshotBatches(*n.children[0], ctx, false));
   const BatchVector* b1 = nullptr;
@@ -438,38 +439,39 @@ Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
     if (!r1.ok()) return r1.status();
     b1 = r1.value();
   }
-  const bool force = n.group_by.empty();
+  const bool force = ks == nullptr;
+  auto emit = [out](std::vector<IdRow> old_rows, std::vector<IdRow> new_rows) {
+    out->reserve(out->size() + old_rows.size() + new_rows.size());
+    for (IdRow& r : old_rows) {
+      out->push_back({ChangeAction::kDelete, r.id, std::move(r.values)});
+    }
+    for (IdRow& r : new_rows) {
+      out->push_back({ChangeAction::kInsert, r.id, std::move(r.values)});
+    }
+  };
 
   if (b0 != nullptr && b1 != nullptr) {
     BatchVector old_members, new_members;
     uint64_t old_count = 0, new_count = 0;
     bool restricted = true;
-    if (n.group_by.empty()) {
+    if (ks == nullptr) {
       old_members = *b0;
       new_members = *b1;
       old_count = BatchRowCount(old_members);
       new_count = BatchRowCount(new_members);
     } else {
-      KeySet ks;
-      KeyExtractor kdel(n.group_by, ctx.eval_start);
-      KeyExtractor kins(n.group_by, ctx.eval_end);
-      for (const ChangeRow& c : din) {
-        KeyExtractor& key = c.action == ChangeAction::kDelete ? kdel : kins;
-        DVS_RETURN_IF_ERROR(key.Extract(c.values));
-        ks.keys.insert(key.hashed_key());
-      }
       std::unordered_set<uint64_t> digests;
-      digests.reserve(ks.keys.size());
-      for (const HashedKey& k : ks.keys) digests.insert(k.digest);
+      digests.reserve(ks->keys.size());
+      for (const HashedKey& k : ks->keys) digests.insert(k.digest);
       std::unordered_map<const ColumnBatch*, Sel> sel_memo;
       std::unordered_map<const ColumnBatch*, Sel>* memo =
           ExprsImmutable(n.group_by) ? &sel_memo : nullptr;
       obs::OpStats* prof =
           ctx.profile != nullptr ? ctx.profile->Node(n.node_tag) : nullptr;
       restricted =
-          RestrictBatches(*b0, n.group_by, ctx.eval_start, ks, digests, memo,
+          RestrictBatches(*b0, n.group_by, ctx.eval_start, *ks, digests, memo,
                           &old_members, &old_count, prof) &&
-          RestrictBatches(*b1, n.group_by, ctx.eval_end, ks, digests, memo,
+          RestrictBatches(*b1, n.group_by, ctx.eval_end, *ks, digests, memo,
                           &new_members, &new_count, prof);
     }
     if (restricted) {
@@ -483,18 +485,9 @@ Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
       DVS_ASSIGN_OR_RETURN(
           BatchVector newb, ComputeAggregateBatches(n, new_members, env1, force));
       if (!env0.bail && !env1.bail) {
-        std::vector<IdRow> old_rows = BatchesToRows(oldb);
-        std::vector<IdRow> new_rows = BatchesToRows(newb);
-        ChangeSet out;
-        out.reserve(old_rows.size() + new_rows.size());
-        for (IdRow& r : old_rows) {
-          out.push_back({ChangeAction::kDelete, r.id, std::move(r.values)});
-        }
-        for (IdRow& r : new_rows) {
-          out.push_back({ChangeAction::kInsert, r.id, std::move(r.values)});
-        }
+        emit(BatchesToRows(oldb), BatchesToRows(newb));
         ctx.rows_processed += old_count + new_count;
-        return out;
+        return OkStatus();
       }
     }
   }
@@ -505,22 +498,14 @@ Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
                        Snapshot(*n.children[0], ctx, true));
 
   std::vector<IdRow> old_members, new_members;
-  if (n.group_by.empty()) {
+  if (ks == nullptr) {
     old_members = *in0;
     new_members = *in1;
   } else {
-    KeySet ks;
-    KeyExtractor kdel(n.group_by, ctx.eval_start);
-    KeyExtractor kins(n.group_by, ctx.eval_end);
-    for (const ChangeRow& c : din) {
-      KeyExtractor& key = c.action == ChangeAction::kDelete ? kdel : kins;
-      DVS_RETURN_IF_ERROR(key.Extract(c.values));
-      ks.keys.insert(key.hashed_key());
-    }
     Status st = OkStatus();
-    old_members = Restrict(*in0, n.group_by, ctx.eval_start, ks, &st);
+    old_members = Restrict(*in0, n.group_by, ctx.eval_start, *ks, &st);
     DVS_RETURN_IF_ERROR(st);
-    new_members = Restrict(*in1, n.group_by, ctx.eval_end, ks, &st);
+    new_members = Restrict(*in1, n.group_by, ctx.eval_end, *ks, &st);
     DVS_RETURN_IF_ERROR(st);
   }
 
@@ -530,14 +515,290 @@ Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
                        ComputeAggregateRows(n, old_members, ctx.eval_start, force));
   DVS_ASSIGN_OR_RETURN(std::vector<IdRow> new_rows,
                        ComputeAggregateRows(n, new_members, ctx.eval_end, force));
-  ChangeSet out;
-  for (IdRow& r : old_rows) {
-    out.push_back({ChangeAction::kDelete, r.id, std::move(r.values)});
-  }
-  for (IdRow& r : new_rows) {
-    out.push_back({ChangeAction::kInsert, r.id, std::move(r.values)});
-  }
+  emit(std::move(old_rows), std::move(new_rows));
   ctx.rows_processed += old_members.size() + new_members.size();
+  return OkStatus();
+}
+
+/// The aggregate whose output rows are `plan`'s rows: `plan` itself, or the
+/// aggregate under identity projections (row ids pass through those
+/// unchanged). Null when there is none.
+const PlanNode* OutputAggregate(const PlanNode& plan) {
+  const PlanNode* n = &plan;
+  while (n->kind == PlanKind::kProject) {
+    const PlanNode& child = *n->children[0];
+    if (n->exprs.size() != child.output_schema.size()) return nullptr;
+    for (size_t i = 0; i < n->exprs.size(); ++i) {
+      if (n->exprs[i]->kind != ExprKind::kColumnRef ||
+          n->exprs[i]->column_index != i) {
+        return nullptr;
+      }
+    }
+    n = &child;
+  }
+  return n->kind == PlanKind::kAggregate ? n : nullptr;
+}
+
+/// True if a stored row of grouped aggregate `n` can be adjusted by a delta:
+/// only non-DISTINCT COUNT(*), COUNT, COUNT_IF and SUM, over an input whose
+/// every expression is immutable (a context function would re-evaluate the
+/// unchanged members of a recomputed group, which the stored row never
+/// sees).
+bool StateMaintainable(const PlanNode& n) {
+  if (n.group_by.empty() || !PlanImmutable(n)) return false;
+  for (const ExprPtr& a : n.aggregates) {
+    if (a->distinct) return false;
+    switch (a->agg_func) {
+      case AggFunc::kCountStar:
+      case AggFunc::kCount:
+      case AggFunc::kCountIf:
+      case AggFunc::kSum:
+        break;
+      default:
+        return false;
+    }
+  }
+  return true;
+}
+
+bool ValuesIdentical(const Value& a, const Value& b) {
+  return a.type() == b.type() && a == b;
+}
+
+bool RowsIdentical(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!ValuesIdentical(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// What the input delta does to one group of a state-maintained aggregate.
+/// Every count is net: the delta is an exact signed difference of the
+/// group's members, so a row a join rule emits as both a delete and an
+/// insert cancels here as it does in the stored result.
+struct GroupDelta {
+  int64_t members = 0;  ///< Net change in member count.
+  /// False once an input shows the stored row plus these adjustments could
+  /// differ from a recompute: a DOUBLE group key (INT and integral DOUBLE
+  /// keys share a group, and which one the recompute keeps depends on
+  /// member order), an aggregate argument that fails to evaluate, a
+  /// non-INT64 SUM input (a DOUBLE sum depends on addition order; any other
+  /// type is the kernel's error to raise), or an INT64 overflow.
+  bool exact = true;
+  /// Per aggregate: net count of counted inputs (non-NULL for COUNT and
+  /// SUM, TRUE for COUNT_IF).
+  std::vector<int64_t> counted;
+  std::vector<int64_t> sum;  ///< Per INT64 SUM: net adjustment.
+};
+
+void FoldGroupDelta(const PlanNode& n, const ChangeRow& c, const Row& key,
+                    const EvalContext& ec, GroupDelta* g) {
+  if (!g->exact) return;
+  const int sign = c.sign();
+  g->members += sign;
+  for (const Value& k : key) {
+    if (k.type() == DataType::kDouble) {
+      g->exact = false;
+      return;
+    }
+  }
+  for (size_t i = 0; i < n.aggregates.size(); ++i) {
+    const Expr& agg = *n.aggregates[i];
+    if (agg.agg_func == AggFunc::kCountStar) continue;
+    Result<Value> arg = Eval(*agg.children[0], c.values, ec);
+    if (!arg.ok()) {
+      g->exact = false;
+      return;
+    }
+    const Value& v = arg.value();
+    if (v.is_null()) continue;
+    if (agg.agg_func == AggFunc::kCountIf &&
+        !(v.type() == DataType::kBool && v.bool_value())) {
+      continue;
+    }
+    if (agg.agg_func == AggFunc::kSum) {
+      const bool overflow =
+          v.type() != DataType::kInt64 ||
+          (sign > 0
+               ? __builtin_add_overflow(g->sum[i], v.int_value(), &g->sum[i])
+               : __builtin_sub_overflow(g->sum[i], v.int_value(), &g->sum[i]));
+      if (overflow) {
+        g->exact = false;
+        return;
+      }
+    }
+    g->counted[i] += sign;
+  }
+}
+
+/// The group's row at I1 from its stored row at I0 (`old`, null when the DT
+/// holds no such group) plus `g`, into `*row`; `*alive` turns false when
+/// the group empties. Returns false when the state cannot decide the row
+/// exactly, and the group is recomputed.
+bool ComposeGroupRow(const PlanNode& n, const Row& key, const Row* old,
+                     const GroupDelta& g, Row* row, bool* alive) {
+  const size_t nk = key.size();
+  if (old != nullptr) {
+    if (old->size() != nk + n.aggregates.size()) return false;
+    for (size_t i = 0; i < nk; ++i) {
+      if (!ValuesIdentical((*old)[i], key[i])) return false;
+    }
+  }
+  // Member count from COUNT(*) when the aggregate has one. Without it a
+  // stored group's count is unknown: one that loses members may have
+  // emptied.
+  int64_t members = g.members;
+  bool has_count_star = false;
+  for (size_t i = 0; i < n.aggregates.size(); ++i) {
+    if (n.aggregates[i]->agg_func != AggFunc::kCountStar) continue;
+    has_count_star = true;
+    if (old != nullptr) {
+      if ((*old)[nk + i].type() != DataType::kInt64) return false;
+      members += (*old)[nk + i].int_value();
+    }
+    break;
+  }
+  if (members < 0) return false;
+  *alive = members > 0 || (!has_count_star && old != nullptr);
+  if (!*alive) return true;
+
+  row->assign(key.begin(), key.end());
+  row->reserve(nk + n.aggregates.size());
+  for (size_t i = 0; i < n.aggregates.size(); ++i) {
+    const Value* stored = old != nullptr ? &(*old)[nk + i] : nullptr;
+    switch (n.aggregates[i]->agg_func) {
+      case AggFunc::kCountStar:
+        row->push_back(Value::Int(members));
+        break;
+      case AggFunc::kCount:
+      case AggFunc::kCountIf: {
+        if (stored != nullptr && stored->type() != DataType::kInt64) {
+          return false;
+        }
+        const int64_t c =
+            (stored != nullptr ? stored->int_value() : 0) + g.counted[i];
+        if (c < 0) return false;
+        row->push_back(Value::Int(c));
+        break;
+      }
+      case AggFunc::kSum:
+        if (stored == nullptr || stored->is_null()) {
+          // No non-NULL input at I0: the delta's are all there is.
+          if (g.counted[i] < 0) return false;
+          row->push_back(g.counted[i] > 0 ? Value::Int(g.sum[i])
+                                          : Value::Null());
+        } else {
+          // At least one non-NULL input at I0. A net loss of non-NULL inputs
+          // may leave none (the SUM turns NULL), which only a recompute
+          // sees.
+          int64_t s = 0;
+          if (stored->type() != DataType::kInt64 || g.counted[i] < 0 ||
+              __builtin_add_overflow(stored->int_value(), g.sum[i], &s)) {
+            return false;
+          }
+          row->push_back(Value::Int(s));
+        }
+        break;
+      default:
+        return false;
+    }
+  }
+  return true;
+}
+
+/// Δ(γ), stored-state form: each affected group's new row is its stored row
+/// plus the delta's adjustments, read by row id in O(affected groups). The
+/// groups state cannot decide exactly (see GroupDelta, ComposeGroupRow) go
+/// into `*recompute`.
+Status GroupsFromState(const PlanNode& n, const ChangeSet& din,
+                       const DeltaContext& ctx, ChangeSet* out,
+                       KeySet* recompute) {
+  const size_t n_aggs = n.aggregates.size();
+  KeyedIndex<GroupDelta> groups;
+  KeyExtractor kdel(n.group_by, ctx.eval_start);
+  KeyExtractor kins(n.group_by, ctx.eval_end);
+  for (const ChangeRow& c : din) {
+    const bool del = c.action == ChangeAction::kDelete;
+    KeyExtractor& key = del ? kdel : kins;
+    DVS_RETURN_IF_ERROR(key.Extract(c.values));
+    auto it = groups.find(key.ref());
+    if (it == groups.end()) {
+      GroupDelta g;
+      g.counted.assign(n_aggs, 0);
+      g.sum.assign(n_aggs, 0);
+      it = groups.emplace(key.hashed_key(), std::move(g)).first;
+    }
+    FoldGroupDelta(n, c, key.key(), del ? ctx.eval_start : ctx.eval_end,
+                   &it->second);
+  }
+
+  // Sorted by key, like the recompute kernel's output.
+  std::vector<const KeyedIndex<GroupDelta>::value_type*> ordered;
+  ordered.reserve(groups.size());
+  for (const auto& entry : groups) ordered.push_back(&entry);
+  std::sort(ordered.begin(), ordered.end(), [](const auto* a, const auto* b) {
+    return RowLess(a->first.values, b->first.values);
+  });
+  uint64_t from_state = 0;
+  for (const auto* entry : ordered) {
+    const HashedKey& key = entry->first;
+    const GroupDelta& g = entry->second;
+    const RowId rid = rowid::GroupFromDigest(n.node_tag, key.digest);
+    const Row* old = nullptr;
+    if (g.exact) {
+      old = ctx.stored_row(rid);
+      ctx.rows_processed += 1;
+    }
+    Row row;
+    bool alive = false;
+    if (!g.exact || !ComposeGroupRow(n, key.values, old, g, &row, &alive)) {
+      recompute->keys.insert(key);
+      continue;
+    }
+    ++from_state;
+    if (old != nullptr) out->push_back({ChangeAction::kDelete, rid, *old});
+    if (alive) out->push_back({ChangeAction::kInsert, rid, std::move(row)});
+  }
+  if (ctx.profile != nullptr) {
+    ctx.profile->Node(n.node_tag)->state_groups += from_state;
+  }
+  return OkStatus();
+}
+
+// Δ(γ): the aggregate whose output rows are the DT's rows adjusts stored
+// groups (GroupsFromState); every other group — and every group of any
+// other aggregate — is recomputed from its members at both endpoints
+// (RecomputeGroups). Input snapshots are taken only when some group needs
+// the recompute.
+Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
+  DVS_ASSIGN_OR_RETURN(ChangeSet din, Delta(*n.children[0], ctx));
+  if (din.empty()) return ChangeSet{};
+  ChangeSet out;
+  if (n.group_by.empty()) {
+    DVS_RETURN_IF_ERROR(RecomputeGroups(n, nullptr, ctx, &out));
+    if (ctx.profile != nullptr) {
+      ctx.profile->Node(n.node_tag)->recomputed_groups += 1;
+    }
+    return out;
+  }
+  KeySet recompute;
+  if (&n == ctx.stored_aggregate) {
+    DVS_RETURN_IF_ERROR(GroupsFromState(n, din, ctx, &out, &recompute));
+  } else {
+    KeyExtractor kdel(n.group_by, ctx.eval_start);
+    KeyExtractor kins(n.group_by, ctx.eval_end);
+    for (const ChangeRow& c : din) {
+      KeyExtractor& key = c.action == ChangeAction::kDelete ? kdel : kins;
+      DVS_RETURN_IF_ERROR(key.Extract(c.values));
+      recompute.keys.insert(key.hashed_key());
+    }
+  }
+  if (recompute.keys.empty()) return out;
+  DVS_RETURN_IF_ERROR(RecomputeGroups(n, &recompute, ctx, &out));
+  if (ctx.profile != nullptr) {
+    ctx.profile->Node(n.node_tag)->recomputed_groups += recompute.keys.size();
+  }
   return out;
 }
 
@@ -691,7 +952,9 @@ Result<ChangeSet> DeltaImpl(const PlanNode& n, const DeltaContext& ctx) {
 }  // namespace
 
 ChangeSet Consolidate(ChangeSet changes) {
-  // Cancel (row_id, equal content) insert/delete pairs.
+  // Cancel (row_id, identical content) insert/delete pairs. Identical means
+  // equal type tags too: INT 5 and DOUBLE 5.0 compare equal, but a SUM that
+  // turns from one into the other is a change the DT must apply.
   std::unordered_map<RowId, std::vector<size_t>> deletes_by_id;
   for (size_t i = 0; i < changes.size(); ++i) {
     if (changes[i].action == ChangeAction::kDelete) {
@@ -704,7 +967,7 @@ ChangeSet Consolidate(ChangeSet changes) {
     auto it = deletes_by_id.find(changes[i].row_id);
     if (it == deletes_by_id.end()) continue;
     for (size_t di : it->second) {
-      if (!drop[di] && RowsEqual(changes[i].values, changes[di].values)) {
+      if (!drop[di] && RowsIdentical(changes[i].values, changes[di].values)) {
         drop[i] = true;
         drop[di] = true;
         break;
@@ -745,6 +1008,10 @@ bool ConsolidationSkippable(const PlanNode& plan) {
 
 Result<DeltaResult> Differentiate(const PlanNode& plan, const DeltaContext& ctx,
                                   bool sources_insert_only) {
+  const PlanNode* agg = OutputAggregate(plan);
+  ctx.stored_aggregate =
+      ctx.stored_row && agg != nullptr && StateMaintainable(*agg) ? agg
+                                                                  : nullptr;
   DVS_ASSIGN_OR_RETURN(ChangeSet raw, Delta(plan, ctx));
   DeltaResult out;
   out.pre_consolidation_size = raw.size();

@@ -1,9 +1,9 @@
 // Query differentiation (§5.5): Δ_I Q — the changes in a query's result over
-// a data-timestamp interval I = [I0, I1] — computed purely from the sources
-// (their snapshots at I0 and I1, and their change sets over I). Derivatives
-// deliberately never read the DT's stored state (§5.5.3); the state-reusing
-// aggregation extension in ivm/state_reuse.h measures what that leaves on
-// the table (experiment E12).
+// a data-timestamp interval I = [I0, I1] — computed from the sources (their
+// snapshots at I0 and I1, and their change sets over I) and, for the
+// aggregate whose output rows are the DT's rows, from the DT's stored state:
+// the paper's top future-work item (§5.5.3, "none of our derivatives so far
+// reuse the state ... already stored in the DT").
 //
 // Per-operator rules (DESIGN.md §6):
 //   Δ(Scan t)        = source change set
@@ -13,17 +13,20 @@
 //   Δ(Q ⋈ R)         = ΔQ ⋈ R@I1  +  Q@I0 ⋈ ΔR     (signs multiply)
 //   Δ(flatten Q)     = flatten(ΔQ)
 //   Δ(outer join)    = affected-key recompute (delete old, insert new)
-//   Δ(γ_k Q)         = affected-group recompute
+//   Δ(γ_k Q)         = stored row + delta adjustments per affected group
+//                      (SUM/COUNT over the DT's own rows), affected-group
+//                      recompute for the groups state cannot decide
 //   Δ(distinct Q)    = affected-value recompute
 //   Δ(ξ_k Q)         = π−(ξ_k(Q|I0 ⋉_k ΔQ)) + π+(ξ_k(Q|I1 ⋉_k ΔQ))
 //                      — the paper's window rule, verbatim
 //   Δ(order by / limit) — not differentiable (full refresh only)
 //
 // The recompute rules share the executor's operator kernels, so incremental
-// and full refreshes agree bit-for-bit on values and row ids. A final
-// consolidation step cancels matched (row_id, equal-content) insert/delete
-// pairs and is skipped when the insert-only analysis proves it redundant
-// (§5.5.2).
+// and full refreshes agree bit-for-bit on values, type tags and row ids; the
+// stored-state path takes a group only when its result is bit-identical to
+// that recompute. A final consolidation step cancels matched (row_id,
+// identical-content) insert/delete pairs and is skipped when the insert-only
+// analysis proves it redundant (§5.5.2).
 
 #ifndef DVS_IVM_DIFFERENTIATOR_H_
 #define DVS_IVM_DIFFERENTIATOR_H_
@@ -56,7 +59,8 @@ struct DeltaContext {
   BatchScanResolver batch_resolve_at_start;
   BatchScanResolver batch_resolve_at_end;
 
-  /// Work accounting for the cost model: rows materialized or emitted.
+  /// Work accounting for the cost model: rows materialized or emitted, and
+  /// stored rows read.
   mutable uint64_t rows_processed = 0;
 
   /// Per-node snapshot memoization — without it, a depth-d join tree would
@@ -66,6 +70,15 @@ struct DeltaContext {
 
   /// Batch-engine caches shared across both endpoints of this refresh.
   mutable BatchMemo memo;
+
+  /// Optional read of the DT's stored state: the row with this id in the
+  /// DT's latest version (the query's result at I0), or null if absent.
+  /// When set, the grouped aggregate whose output rows are the DT's rows
+  /// (the plan root, or under identity projections) builds each affected
+  /// group's new row from its stored row plus the delta's adjustments.
+  std::function<const Row*(RowId)> stored_row;
+  /// The aggregate `stored_row` describes; Differentiate sets it.
+  mutable const PlanNode* stored_aggregate = nullptr;
 
   /// Optional per-operator profile collector (obs/profile.h). Null when
   /// profiling is disarmed — every hook site then costs one pointer check.

@@ -74,4 +74,16 @@ IncrementalityAnalysis AnalyzeIncrementality(const PlanNode& plan) {
   return out;
 }
 
+bool PlanImmutable(const PlanNode& plan) {
+  std::vector<const PlanNode*> stack = {&plan};
+  while (!stack.empty()) {
+    const PlanNode* n = stack.back();
+    stack.pop_back();
+    Result<Volatility> vol = NodeVolatility(*n);
+    if (!vol.ok() || vol.value() != Volatility::kImmutable) return false;
+    for (const PlanPtr& c : n->children) stack.push_back(c.get());
+  }
+  return true;
+}
+
 }  // namespace dvs

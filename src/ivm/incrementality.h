@@ -22,6 +22,11 @@ struct IncrementalityAnalysis {
 
 IncrementalityAnalysis AnalyzeIncrementality(const PlanNode& plan);
 
+/// True if every expression in `plan`'s subtree is immutable: no context
+/// function (a row's values are the same at both interval endpoints) and no
+/// volatile one. False also when the analysis fails.
+bool PlanImmutable(const PlanNode& plan);
+
 }  // namespace dvs
 
 #endif  // DVS_IVM_INCREMENTALITY_H_

@@ -204,6 +204,8 @@ Schema RefreshProfileSchema() {
   s.AddColumn("sel_memo_hits", DataType::kInt64);
   s.AddColumn("vector_bails", DataType::kInt64);
   s.AddColumn("row_redos", DataType::kInt64);
+  s.AddColumn("state_groups", DataType::kInt64);
+  s.AddColumn("recomputed_groups", DataType::kInt64);
   // Wall-clock columns come LAST so deterministic consumers (bench_e21) can
   // project them away and byte-compare the rest across worker counts.
   s.AddColumn("wall_ns", DataType::kInt64);
@@ -271,6 +273,8 @@ Result<sql::TableFunctionResult> RefreshProfileFn(
       row.push_back(Value::Int(static_cast<int64_t>(s->sel_memo_hits)));
       row.push_back(Value::Int(static_cast<int64_t>(s->vector_bails)));
       row.push_back(Value::Int(static_cast<int64_t>(s->row_redos)));
+      row.push_back(Value::Int(static_cast<int64_t>(s->state_groups)));
+      row.push_back(Value::Int(static_cast<int64_t>(s->recomputed_groups)));
       row.push_back(Value::Int(static_cast<int64_t>(s->wall_ns)));
       out.rows.push_back(std::move(row));
     }

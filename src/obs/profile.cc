@@ -65,6 +65,8 @@ void OpStats::Merge(const OpStats& other) {
   sel_memo_hits += other.sel_memo_hits;
   vector_bails += other.vector_bails;
   row_redos += other.row_redos;
+  state_groups += other.state_groups;
+  recomputed_groups += other.recomputed_groups;
   wall_ns += other.wall_ns;
 }
 
@@ -149,6 +151,8 @@ std::string FormatOpStats(const OpStats& s, uint64_t rows_in,
   AppendIfNonzero(&out, "sel_memo", s.sel_memo_hits);
   AppendIfNonzero(&out, "bails", s.vector_bails);
   AppendIfNonzero(&out, "redos", s.row_redos);
+  AppendIfNonzero(&out, "state_groups", s.state_groups);
+  AppendIfNonzero(&out, "recomputed_groups", s.recomputed_groups);
   if (include_wall) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f",

@@ -84,6 +84,8 @@ struct OpStats {
   uint64_t sel_memo_hits = 0;      ///< Differentiator restrict-memo hits.
   uint64_t vector_bails = 0;       ///< Columnar bail-outs at this node.
   uint64_t row_redos = 0;          ///< Row-wise redo fallbacks at this node.
+  uint64_t state_groups = 0;       ///< Aggregate groups kept from DT state.
+  uint64_t recomputed_groups = 0;  ///< Aggregate groups recomputed.
   uint64_t wall_ns = 0;  ///< Wall time, inclusive of children. REPORT ONLY.
 
   void Merge(const OpStats& other);

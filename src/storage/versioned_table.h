@@ -391,10 +391,20 @@ class VersionedTable {
       RowId next_row_id);
 
   /// Latest-version location of a row id through the row-id index, or
-  /// nullptr if not stored. Diagnostic/test hook; does not bump counters.
+  /// nullptr if not stored. Does not bump counters.
   const RowLocation* FindRow(RowId id) const {
     auto it = row_index_.find(id);
     return it == row_index_.end() ? nullptr : &it->second;
+  }
+
+  /// The latest version's row with this id, or nullptr if not stored: one
+  /// row-id index probe, no scan. The pointer stays valid until the table's
+  /// next mutation; like every other index access, callers serialize with
+  /// the table's single writer.
+  const IdRow* FindLatestRow(RowId id) const {
+    const RowLocation* loc = FindRow(id);
+    return loc == nullptr ? nullptr
+                          : &partition(loc->partition).row(loc->offset);
   }
 
  private:

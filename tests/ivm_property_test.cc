@@ -5,16 +5,24 @@
 //     result@I0 + Δ_I(plan)  ==  result@I1
 //
 // applied by row id, with the §6.1 merge validations enforced along the way
-// (no delete-of-missing, no duplicate ids). This exercises the IVM layer
+// (no delete-of-missing, no duplicate ids). Each run reads the I0 result as
+// the stored state, as a refresh reads its DT. This exercises the IVM layer
 // directly — below SQL and below the refresh engine — so failures localize
 // to the delta rules themselves.
+//
+// A second sweep pits the aggregate derivative's stored-state path against
+// its recompute on sources mixing INT, DOUBLE and NULL inputs, with deletes
+// that empty groups: the change sets must be identical, type tags and
+// DOUBLE bits included.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "common/rng.h"
 #include "ivm/differentiator.h"
+#include "obs/profile.h"
 
 namespace dvs {
 namespace {
@@ -22,8 +30,11 @@ namespace {
 // Mirror of the harness in ivm_test.cc, self-contained for this sweep.
 class RandomSource {
  public:
-  RandomSource(ObjectId id, Schema schema, Rng* rng, int base_rows)
-      : id_(id), schema_(std::move(schema)) {
+  /// `mixed`: v mixes small INTs, INTs near INT64_MAX, DOUBLEs and NULLs
+  /// over 4 keys, instead of small INTs over 9.
+  RandomSource(ObjectId id, Schema schema, Rng* rng, int base_rows,
+               bool mixed = false)
+      : id_(id), schema_(std::move(schema)), mixed_(mixed) {
     for (int i = 0; i < base_rows; ++i) {
       IdRow r{next_id_++, MakeRow(rng)};
       start_.push_back(r);
@@ -76,7 +87,23 @@ class RandomSource {
  private:
   Row MakeRow(Rng* rng) {
     // (k INT small-domain, v INT, s STRING small-domain)
-    return {Value::Int(rng->Uniform(0, 8)), Value::Int(rng->Uniform(-50, 50)),
+    if (!mixed_) {
+      return {Value::Int(rng->Uniform(0, 8)),
+              Value::Int(rng->Uniform(-50, 50)),
+              Value::String("s" + std::to_string(rng->Uniform(0, 4)))};
+    }
+    Value v;
+    const double p = rng->NextDouble();
+    if (p < 0.2) {
+      v = Value::Null();
+    } else if (p < 0.4) {
+      v = Value::Double(static_cast<double>(rng->Uniform(-9, 9)) / 10.0);
+    } else if (p < 0.45) {
+      v = Value::Int(std::numeric_limits<int64_t>::max() - rng->Uniform(0, 3));
+    } else {
+      v = Value::Int(rng->Uniform(-50, 50));
+    }
+    return {Value::Int(rng->Uniform(0, 3)), std::move(v),
             Value::String("s" + std::to_string(rng->Uniform(0, 4)))};
   }
 
@@ -84,8 +111,53 @@ class RandomSource {
   Schema schema_;
   std::vector<IdRow> start_;
   std::vector<IdRow> end_;
+  bool mixed_;
   RowId next_id_ = 1;
 };
+
+/// Resolvers over sources 1 (`a`) and 2 (`b`); both must outlive the context.
+DeltaContext SourceContext(const RandomSource& a, const RandomSource& b) {
+  const RandomSource* pa = &a;
+  const RandomSource* pb = &b;
+  DeltaContext ctx;
+  ctx.resolve_at_start = [pa, pb](ObjectId id) -> Result<std::vector<IdRow>> {
+    return id == 1 ? pa->start() : pb->start();
+  };
+  ctx.resolve_at_end = [pa, pb](ObjectId id) -> Result<std::vector<IdRow>> {
+    return id == 1 ? pa->end() : pb->end();
+  };
+  ctx.resolve_delta = [pa, pb](ObjectId id) -> Result<ChangeSet> {
+    return id == 1 ? pa->Delta() : pb->Delta();
+  };
+  return ctx;
+}
+
+std::vector<IdRow> ExecuteAt(const PlanNode& plan, const DeltaContext& ctx,
+                             bool at_end) {
+  ExecContext ec;
+  ec.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
+  auto r = ExecutePlan(plan, ec);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? r.take() : std::vector<IdRow>{};
+}
+
+/// Stored-state lookup over a result kept by row id.
+std::function<const Row*(RowId)> StoredRows(
+    const std::map<RowId, Row>* rows) {
+  return [rows](RowId id) -> const Row* {
+    auto it = rows->find(id);
+    return it == rows->end() ? nullptr : &it->second;
+  };
+}
+
+/// Equal values with equal type tags (INT 5 vs DOUBLE 5.0 differ).
+bool Identical(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type() || !(a[i] == b[i])) return false;
+  }
+  return true;
+}
 
 Schema SrcSchema() {
   return Schema({{"k", DataType::kInt64},
@@ -178,34 +250,17 @@ TEST_P(DifferentiatorSweep, DeltaEqualsStateDifference) {
   PlanPtr plan = BuildPlan(params.shape, a, b);
   ASSERT_NE(plan, nullptr);
 
-  DeltaContext ctx;
-  ctx.resolve_at_start = [&](ObjectId id) -> Result<std::vector<IdRow>> {
-    return id == 1 ? a.start() : b.start();
-  };
-  ctx.resolve_at_end = [&](ObjectId id) -> Result<std::vector<IdRow>> {
-    return id == 1 ? a.end() : b.end();
-  };
-  ctx.resolve_delta = [&](ObjectId id) -> Result<ChangeSet> {
-    return id == 1 ? a.Delta() : b.Delta();
-  };
-
-  auto delta = Differentiate(*plan, ctx);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-
-  // Materialize both ends via full execution.
-  auto execute = [&](bool at_end) {
-    ExecContext ec;
-    ec.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
-    auto r = ExecutePlan(*plan, ec);
-    EXPECT_TRUE(r.ok());
-    return r.ok() ? r.take() : std::vector<IdRow>{};
-  };
-
+  DeltaContext ctx = SourceContext(a, b);
   std::map<RowId, Row> state;
-  for (IdRow& r : execute(false)) {
+  for (IdRow& r : ExecuteAt(*plan, ctx, false)) {
     ASSERT_TRUE(state.emplace(r.id, std::move(r.values)).second)
         << "duplicate id in I0 result";
   }
+  const std::map<RowId, Row> stored = state;
+  ctx.stored_row = StoredRows(&stored);
+
+  auto delta = Differentiate(*plan, ctx);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   // Apply the delta with merge-validation semantics.
   for (const ChangeRow& c : delta.value().changes) {
     if (c.action == ChangeAction::kDelete) {
@@ -220,13 +275,15 @@ TEST_P(DifferentiatorSweep, DeltaEqualsStateDifference) {
     }
   }
   std::map<RowId, Row> expected;
-  for (IdRow& r : execute(true)) expected[r.id] = std::move(r.values);
+  for (IdRow& r : ExecuteAt(*plan, ctx, true)) {
+    expected[r.id] = std::move(r.values);
+  }
 
   ASSERT_EQ(state.size(), expected.size());
   for (const auto& [rid, row] : expected) {
     auto it = state.find(rid);
     ASSERT_NE(it, state.end());
-    EXPECT_TRUE(RowsEqual(it->second, row))
+    EXPECT_TRUE(Identical(it->second, row))
         << RowToString(it->second) << " vs " << RowToString(row);
   }
 }
@@ -267,6 +324,102 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ShapeName(info.param.shape)) + "_seed" +
              std::to_string(info.param.seed);
     });
+
+// ---- Aggregate derivative: stored state vs recompute ----
+
+std::vector<PlanPtr> StateSweepPlans(const RandomSource& a,
+                                     const RandomSource& b) {
+  PlanPtr sa = MakeScan(a.id(), "a", a.schema());
+  PlanPtr sb = MakeScan(b.id(), "b", b.schema());
+  ExprPtr positive = Binary(BinaryOp::kGt, ColRef(1), LitInt(0));
+  PlanPtr full = MakeAggregate(
+      sa, {ColRef(0)},
+      {Agg(AggFunc::kCountStar, {}), Agg(AggFunc::kSum, {ColRef(1)}),
+       Agg(AggFunc::kCount, {ColRef(1)}), Agg(AggFunc::kCountIf, {positive})},
+      {"k", "n", "sv", "c", "pos"});
+  return {
+      full,
+      // Under an identity projection, as the binder emits it.
+      MakeProject(full, {ColRef(0), ColRef(1), ColRef(2), ColRef(3), ColRef(4)},
+                  {"k", "n", "sv", "c", "pos"}),
+      // No COUNT(*): emptiness is not visible in the stored row.
+      MakeAggregate(sa, {ColRef(0)},
+                    {Agg(AggFunc::kSum, {ColRef(1)}),
+                     Agg(AggFunc::kCountIf, {positive})},
+                    {"k", "sv", "pos"}),
+      // Over a join, whose delta carries insert/delete pairs that cancel.
+      MakeAggregate(
+          MakeJoin(JoinType::kInner, sa, sb, {ColRef(2)}, {ColRef(2)}),
+          {ColRef(0)},
+          {Agg(AggFunc::kCountStar, {}), Agg(AggFunc::kSum, {ColRef(4)})},
+          {"k", "n", "sv"}),
+  };
+}
+
+/// One seed of the sweep; adds the stored-state run's aggregate profile
+/// counters to `*totals`.
+void CheckStateAgainstRecompute(uint64_t seed, obs::OpStats* totals) {
+  Rng rng(seed * 104729);
+  RandomSource a(1, SrcSchema(), &rng, static_cast<int>(rng.Uniform(0, 16)),
+                 /*mixed=*/true);
+  RandomSource b(2, SrcSchema(), &rng, static_cast<int>(rng.Uniform(0, 16)),
+                 /*mixed=*/true);
+  a.Mutate(&rng, static_cast<int>(rng.Uniform(0, 16)));
+  b.Mutate(&rng, static_cast<int>(rng.Uniform(0, 8)));
+
+  for (const PlanPtr& plan : StateSweepPlans(a, b)) {
+    DeltaContext plain = SourceContext(a, b);
+    auto want = Differentiate(*plan, plain);
+
+    std::map<RowId, Row> stored;
+    for (IdRow& r : ExecuteAt(*plan, plain, false)) {
+      stored.emplace(r.id, std::move(r.values));
+    }
+    obs::ProfileSink sink;
+    sink.DeclarePlan(*plan);
+    DeltaContext with_state = SourceContext(a, b);
+    with_state.stored_row = StoredRows(&stored);
+    with_state.profile = &sink;
+    auto got = Differentiate(*plan, with_state);
+    for (const auto& op : sink.operators()) {
+      if (const obs::OpStats* st = sink.Find(op.tag)) totals->Merge(*st);
+    }
+
+    ASSERT_EQ(got.ok(), want.ok()) << plan->ToString();
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    auto key = [](const ChangeRow& c) {
+      return std::make_pair(c.action == ChangeAction::kInsert, c.row_id);
+    };
+    std::map<std::pair<bool, RowId>, const Row*> g, w;
+    for (const ChangeRow& c : got.value().changes) {
+      ASSERT_TRUE(g.emplace(key(c), &c.values).second);
+    }
+    for (const ChangeRow& c : want.value().changes) {
+      ASSERT_TRUE(w.emplace(key(c), &c.values).second);
+    }
+    ASSERT_EQ(g.size(), w.size()) << plan->ToString();
+    for (const auto& [k, row] : w) {
+      auto it = g.find(k);
+      ASSERT_NE(it, g.end()) << "missing change for row id " << k.second;
+      EXPECT_TRUE(Identical(*it->second, *row))
+          << RowToString(*it->second) << " vs " << RowToString(*row);
+    }
+  }
+}
+
+TEST(StateSweep, StoredStateMatchesRecompute) {
+  obs::OpStats totals;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CheckStateAgainstRecompute(seed, &totals);
+  }
+  // Both paths ran: groups kept from state and groups recomputed.
+  EXPECT_GT(totals.state_groups, 0u);
+  EXPECT_GT(totals.recomputed_groups, 0u);
+}
 
 }  // namespace
 }  // namespace dvs

@@ -1,15 +1,17 @@
 // Tests for ivm/: differentiation rules against full recomputation,
 // consolidation, insert-only analysis, incrementality analysis, and the
-// state-reusing aggregation extension.
+// aggregate derivative's stored-state path against its recompute.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 
 #include "ivm/differentiator.h"
 #include "ivm/incrementality.h"
-#include "ivm/state_reuse.h"
+#include "obs/profile.h"
 
 namespace dvs {
 namespace {
@@ -462,35 +464,100 @@ TEST(IncrementalityTest, SupportedAndUnsupportedShapes) {
                   .incremental);
 }
 
-// ---- State-reusing aggregation (E12 extension) ----
+// ---- Aggregate derivative: stored state vs recompute ----
 
-TEST(StateReuseTest, ApplicabilityRules) {
-  DeltaHarness h;
-  ObjectId t = h.AddTable("t", KV());
-  std::string why;
-  EXPECT_TRUE(StateReuseApplicable(
-      *MakeAggregate(h.Scan(t), {ColRef(0)},
-                     {Agg(AggFunc::kCountStar, {}), Agg(AggFunc::kSum, {ColRef(1)})},
-                     {"k", "n", "sv"}),
-      &why));
-  // MIN needs recompute.
-  EXPECT_FALSE(StateReuseApplicable(
-      *MakeAggregate(h.Scan(t), {ColRef(0)},
-                     {Agg(AggFunc::kCountStar, {}), Agg(AggFunc::kMin, {ColRef(1)})},
-                     {"k", "n", "mn"}),
-      &why));
-  // COUNT(*) required.
-  EXPECT_FALSE(StateReuseApplicable(
-      *MakeAggregate(h.Scan(t), {ColRef(0)}, {Agg(AggFunc::kSum, {ColRef(1)})},
-                     {"k", "sv"}),
-      &why));
-  // Scalar aggregation excluded.
-  EXPECT_FALSE(StateReuseApplicable(
-      *MakeAggregate(h.Scan(t), {}, {Agg(AggFunc::kCountStar, {})}, {"n"}),
-      &why));
+/// Type tag + value: INT 5 and DOUBLE 5.0 differ, and so do two DOUBLEs
+/// that RowToString renders alike.
+bool Identical(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type() || !(a[i] == b[i])) return false;
+  }
+  return true;
 }
 
-TEST(StateReuseTest, MatchesRecomputeDerivative) {
+std::vector<const ChangeRow*> SortedChanges(const ChangeSet& cs) {
+  std::vector<const ChangeRow*> out;
+  for (const ChangeRow& c : cs) out.push_back(&c);
+  std::sort(out.begin(), out.end(), [](const ChangeRow* a, const ChangeRow* b) {
+    if (a->action != b->action) return a->action < b->action;
+    if (a->row_id != b->row_id) return a->row_id < b->row_id;
+    return RowLess(a->values, b->values);
+  });
+  return out;
+}
+
+/// The plan's result at I0 by row id, and a context reading it as the
+/// stored state, as a refresh reads its DT.
+std::map<RowId, Row> StoredState(const DeltaHarness& h, const PlanPtr& plan) {
+  std::map<RowId, Row> stored;
+  for (IdRow& r : h.Execute(plan, /*at_end=*/false)) {
+    stored[r.id] = std::move(r.values);
+  }
+  return stored;
+}
+
+DeltaContext CtxWithState(const DeltaHarness& h,
+                          const std::map<RowId, Row>* stored) {
+  DeltaContext ctx = h.Ctx();
+  ctx.stored_row = [stored](RowId id) -> const Row* {
+    auto it = stored->find(id);
+    return it == stored->end() ? nullptr : &it->second;
+  };
+  return ctx;
+}
+
+/// Runs Δ(plan) twice on the same interval — once reading the stored result
+/// at I0 by row id (the refresh's setup), once with no stored state (every
+/// group recomputed) — and expects identical change sets, or the identical
+/// error. Returns the stored-state run's aggregate profile counters.
+obs::OpStats ExpectStateMatchesRecompute(const DeltaHarness& h,
+                                         const PlanPtr& plan,
+                                         const PlanNode& agg) {
+  const std::map<RowId, Row> stored = StoredState(h, plan);
+  obs::ProfileSink sink;
+  DeltaContext with_state = CtxWithState(h, &stored);
+  with_state.profile = &sink;
+  auto got = Differentiate(*plan, with_state);
+  DeltaContext without = h.Ctx();
+  auto want = Differentiate(*plan, without);
+  EXPECT_EQ(got.ok(), want.ok());
+  if (!got.ok() || !want.ok()) {
+    if (!got.ok() && !want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    }
+    return {};
+  }
+  auto g = SortedChanges(got.value().changes);
+  auto w = SortedChanges(want.value().changes);
+  EXPECT_EQ(g.size(), w.size());
+  for (size_t i = 0; i < std::min(g.size(), w.size()); ++i) {
+    EXPECT_EQ(g[i]->action, w[i]->action);
+    EXPECT_EQ(g[i]->row_id, w[i]->row_id);
+    EXPECT_TRUE(Identical(g[i]->values, w[i]->values))
+        << RowToString(g[i]->values) << " vs " << RowToString(w[i]->values);
+  }
+  const obs::OpStats* s = sink.Find(agg.node_tag);
+  return s == nullptr ? obs::OpStats{} : *s;
+}
+
+/// Δ(plan) with the stored state, consolidated.
+ChangeSet StateDelta(const DeltaHarness& h, const PlanPtr& plan) {
+  const std::map<RowId, Row> stored = StoredState(h, plan);
+  DeltaContext ctx = CtxWithState(h, &stored);
+  auto r = Differentiate(*plan, ctx);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? r.value().changes : ChangeSet{};
+}
+
+PlanPtr CountSumAgg(const DeltaHarness& h, ObjectId t) {
+  return MakeAggregate(h.Scan(t), {ColRef(0)},
+                       {Agg(AggFunc::kCountStar, {}),
+                        Agg(AggFunc::kSum, {ColRef(1)})},
+                       {"k", "n", "sv"});
+}
+
+TEST(AggregateStateTest, MatchesRecompute) {
   DeltaHarness h;
   ObjectId t = h.AddTable("t", KV());
   RowId r1 = h.Insert(t, R(1, 10), true);
@@ -505,61 +572,195 @@ TEST(StateReuseTest, MatchesRecomputeDerivative) {
        Agg(AggFunc::kCountIf,
            {Binary(BinaryOp::kGt, ColRef(1), LitInt(4))})},
       {"k", "n", "sv", "big"});
-
-  std::vector<IdRow> stored = h.Execute(plan, /*at_end=*/false);
-  DeltaContext ctx = h.Ctx();
-  auto sr = DifferentiateAggregateWithState(*plan, stored, ctx);
-  ASSERT_TRUE(sr.ok()) << sr.status().ToString();
-  ASSERT_TRUE(sr.value().applicable) << sr.value().reason;
-
-  DeltaContext ctx2 = h.Ctx();
-  auto full = Differentiate(*plan, ctx2);
-  ASSERT_TRUE(full.ok());
-
-  auto render = [](ChangeSet cs) {
-    std::vector<std::string> out;
-    for (const ChangeRow& c : cs) {
-      out.push_back(std::string(ChangeActionName(c.action)) + " " +
-                    std::to_string(c.row_id) + " " + RowToString(c.values));
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(render(sr.value().changes), render(full.value().changes));
+  obs::OpStats s = ExpectStateMatchesRecompute(h, plan, *plan);
+  EXPECT_EQ(s.state_groups, 2u);
+  EXPECT_EQ(s.recomputed_groups, 0u);
 }
 
-TEST(StateReuseTest, GroupEmptyAndGroupBorn) {
+TEST(AggregateStateTest, IdentityProjectionUnwraps) {
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  h.Insert(t, R(1, 10), true);
+  h.Insert(t, R(1, 5), false);
+  PlanPtr agg = CountSumAgg(h, t);
+  auto plan = MakeProject(agg, {ColRef(0), ColRef(1), ColRef(2)},
+                          {"k", "n", "sv"});
+  EXPECT_EQ(ExpectStateMatchesRecompute(h, plan, *agg).state_groups, 1u);
+  // A reordering projection hides the aggregate's rows: recompute.
+  auto reordered = MakeProject(agg, {ColRef(1), ColRef(0), ColRef(2)},
+                               {"n", "k", "sv"});
+  obs::OpStats s = ExpectStateMatchesRecompute(h, reordered, *agg);
+  EXPECT_EQ(s.state_groups, 0u);
+  EXPECT_EQ(s.recomputed_groups, 1u);
+}
+
+TEST(AggregateStateTest, RemainingNullSumIsRecomputed) {
+  // {5, NULL} loses its 5: the SUM turns NULL, which the stored 5 cannot
+  // tell apart from a group with other non-NULL inputs left.
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  RowId five = h.Insert(t, R(1, 5), true);
+  h.Insert(t, {Value::Int(1), Value::Null()}, true);
+  h.Delete(t, five);
+  auto plan = CountSumAgg(h, t);
+  obs::OpStats s = ExpectStateMatchesRecompute(h, plan, *plan);
+  EXPECT_EQ(s.recomputed_groups, 1u);
+  ChangeSet cs = StateDelta(h, plan);
+  ASSERT_EQ(cs.size(), 2u);
+  EXPECT_EQ(cs[1].action, ChangeAction::kInsert);
+  EXPECT_TRUE(cs[1].values[2].is_null());
+}
+
+TEST(AggregateStateTest, NullSumGainsInput) {
+  // A group whose SUM is NULL (all inputs NULL) gains a non-NULL input,
+  // and a NULL-only group gains another NULL.
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  h.Insert(t, {Value::Int(1), Value::Null()}, true);
+  h.Insert(t, {Value::Int(2), Value::Null()}, true);
+  h.Insert(t, R(1, 4), false);
+  h.Insert(t, {Value::Int(2), Value::Null()}, false);
+  auto plan = CountSumAgg(h, t);
+  EXPECT_EQ(ExpectStateMatchesRecompute(h, plan, *plan).state_groups, 2u);
+}
+
+TEST(AggregateStateTest, DoubleSumIsRecomputed) {
+  // Deleting 0.1 from {0.1, 0.2, 0.3}: the stored sum minus 0.1 is
+  // 0.50000000000000011, the recompute 0.5.
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  RowId a = h.Insert(t, {Value::Int(1), Value::Double(0.1)}, true);
+  h.Insert(t, {Value::Int(1), Value::Double(0.2)}, true);
+  h.Insert(t, {Value::Int(1), Value::Double(0.3)}, true);
+  h.Delete(t, a);
+  auto plan = CountSumAgg(h, t);
+  obs::OpStats s = ExpectStateMatchesRecompute(h, plan, *plan);
+  EXPECT_EQ(s.recomputed_groups, 1u);
+  ChangeSet cs = StateDelta(h, plan);
+  ASSERT_EQ(cs.size(), 2u);
+  EXPECT_EQ(cs[1].values[2].type(), DataType::kDouble);
+  EXPECT_EQ(cs[1].values[2].double_value(), 0.2 + 0.3);
+}
+
+TEST(AggregateStateTest, IntSumTurningDoubleIsApplied) {
+  // INT 5 and DOUBLE 5.0 compare equal; the change must survive
+  // consolidation all the same.
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  h.Insert(t, R(1, 5), true);
+  h.Insert(t, {Value::Int(1), Value::Double(0.0)}, false);
+  auto plan = MakeAggregate(h.Scan(t), {ColRef(0)},
+                            {Agg(AggFunc::kSum, {ColRef(1)})}, {"k", "sv"});
+  ExpectStateMatchesRecompute(h, plan, *plan);
+  ChangeSet cs = StateDelta(h, plan);
+  ASSERT_EQ(cs.size(), 2u);
+  EXPECT_EQ(cs[1].values[1].type(), DataType::kDouble);
+}
+
+TEST(AggregateStateTest, GroupDiesAndGroupIsBorn) {
   DeltaHarness h;
   ObjectId t = h.AddTable("t", KV());
   RowId r1 = h.Insert(t, R(1, 10), true);
   h.Delete(t, r1);               // group 1 dies
   h.Insert(t, R(9, 90), false);  // group 9 born
-  auto plan = MakeAggregate(h.Scan(t), {ColRef(0)},
-                            {Agg(AggFunc::kCountStar, {}),
-                             Agg(AggFunc::kSum, {ColRef(1)})},
-                            {"k", "n", "sv"});
-  std::vector<IdRow> stored = h.Execute(plan, false);
-  DeltaContext ctx = h.Ctx();
-  auto sr = DifferentiateAggregateWithState(*plan, stored, ctx);
-  ASSERT_TRUE(sr.ok());
-  ASSERT_TRUE(sr.value().applicable);
-  ChangeStats stats = CountChanges(sr.value().changes);
+  auto plan = CountSumAgg(h, t);
+  obs::OpStats s = ExpectStateMatchesRecompute(h, plan, *plan);
+  EXPECT_EQ(s.state_groups, 2u);
+  ChangeStats stats = CountChanges(StateDelta(h, plan));
   EXPECT_EQ(stats.deletes, 1u);
   EXPECT_EQ(stats.inserts, 1u);
 }
 
-TEST(StateReuseTest, BailsOnNullSumInput) {
+TEST(AggregateStateTest, Int64OverflowIsRecomputed) {
   DeltaHarness h;
   ObjectId t = h.AddTable("t", KV());
-  h.Insert(t, {Value::Int(1), Value::Null()}, false);
-  auto plan = MakeAggregate(h.Scan(t), {ColRef(0)},
-                            {Agg(AggFunc::kCountStar, {}),
-                             Agg(AggFunc::kSum, {ColRef(1)})},
-                            {"k", "n", "sv"});
+  const int64_t big = std::numeric_limits<int64_t>::max() - 1;
+  h.Insert(t, R(1, big), true);
+  h.Insert(t, R(1, 5), false);    // stored + 5 overflows
+  h.Insert(t, R(2, big), false);  // the delta alone overflows
+  h.Insert(t, R(2, big), false);
+  h.Insert(t, R(3, big), true);  // the stored SUM wrapped; stored + delta
+  h.Insert(t, R(3, 5), true);    // fits, so it equals the kernel's wrap
+  h.Insert(t, R(3, -3), false);
+  auto plan = CountSumAgg(h, t);
+  obs::OpStats s = ExpectStateMatchesRecompute(h, plan, *plan);
+  EXPECT_EQ(s.recomputed_groups, 2u);
+  EXPECT_EQ(s.state_groups, 1u);
+}
+
+TEST(AggregateStateTest, NonNumericSumFailsLikeTheKernel) {
+  DeltaHarness h;
+  ObjectId t = h.AddTable(
+      "t", Schema({{"k", DataType::kInt64}, {"s", DataType::kString}}));
+  h.Insert(t, {Value::Int(1), Value::String("x")}, false);
+  auto plan = CountSumAgg(h, t);
+  ExpectStateMatchesRecompute(h, plan, *plan);
   DeltaContext ctx = h.Ctx();
-  auto sr = DifferentiateAggregateWithState(*plan, {}, ctx);
-  ASSERT_TRUE(sr.ok());
-  EXPECT_FALSE(sr.value().applicable);  // graceful fallback, not corruption
+  auto r = Differentiate(*plan, ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("SUM over non-numeric value"),
+            std::string::npos);
+}
+
+TEST(AggregateStateTest, WithoutCountStar) {
+  // No COUNT(*): an update (net zero members) keeps the stored row; a group
+  // that loses members may have emptied and is recomputed.
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  RowId a = h.Insert(t, R(1, 10), true);
+  h.Insert(t, R(1, 3), true);
+  RowId b = h.Insert(t, R(2, 7), true);
+  RowId c = h.Insert(t, R(3, 8), true);
+  h.Update(t, a, R(1, 11));
+  h.Delete(t, b);  // group 2 empties
+  h.Delete(t, c);
+  h.Insert(t, R(3, 1), false);
+  h.Insert(t, R(3, 2), false);
+  h.Insert(t, R(4, 4), false);  // born
+  auto plan = MakeAggregate(
+      h.Scan(t), {ColRef(0)},
+      {Agg(AggFunc::kSum, {ColRef(1)}), Agg(AggFunc::kCount, {ColRef(1)})},
+      {"k", "sv", "c"});
+  obs::OpStats s = ExpectStateMatchesRecompute(h, plan, *plan);
+  EXPECT_EQ(s.state_groups, 3u);
+  EXPECT_EQ(s.recomputed_groups, 1u);
+}
+
+TEST(AggregateStateTest, CountIf) {
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  RowId a = h.Insert(t, R(1, 10), true);
+  h.Insert(t, R(1, -1), true);
+  h.Insert(t, {Value::Int(1), Value::Null()}, false);
+  h.Update(t, a, R(1, -10));
+  h.Insert(t, R(2, 3), false);
+  auto plan = MakeAggregate(
+      h.Scan(t), {ColRef(0)},
+      {Agg(AggFunc::kCountStar, {}),
+       Agg(AggFunc::kCountIf, {Binary(BinaryOp::kGt, ColRef(1), LitInt(0))}),
+       Agg(AggFunc::kCount, {ColRef(1)})},
+      {"k", "n", "pos", "c"});
+  EXPECT_EQ(ExpectStateMatchesRecompute(h, plan, *plan).state_groups, 2u);
+}
+
+TEST(AggregateStateTest, ContextFunctionsAndOtherAggregatesRecompute) {
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  h.Insert(t, R(1, 10), true);
+  h.Insert(t, R(1, 5), false);
+  auto with_min = MakeAggregate(
+      h.Scan(t), {ColRef(0)},
+      {Agg(AggFunc::kCountStar, {}), Agg(AggFunc::kMin, {ColRef(1)})},
+      {"k", "n", "mn"});
+  EXPECT_EQ(ExpectStateMatchesRecompute(h, with_min, *with_min).state_groups,
+            0u);
+  auto with_now = MakeAggregate(
+      h.Scan(t), {ColRef(0)},
+      {Agg(AggFunc::kCountStar, {}),
+       Agg(AggFunc::kCount, {Func("current_timestamp", {})})},
+      {"k", "n", "c"});
+  EXPECT_EQ(ExpectStateMatchesRecompute(h, with_now, *with_now).state_groups,
+            0u);
 }
 
 }  // namespace
