@@ -102,11 +102,11 @@ Sample RunOne(int source_rows) {
   // The same interval, differentiated with no stored state.
   const VersionId v1 = dt->dt->frontier.at(src_id);
   DeltaContext ctx;
-  ctx.resolve_at_start = [&](ObjectId) -> Result<std::vector<IdRow>> {
-    return src.ScanAt(v0);
+  ctx.resolve_at_start = [&](ObjectId) -> Result<BatchVector> {
+    return ScanBatchesAt(src, v0, nullptr);
   };
-  ctx.resolve_at_end = [&](ObjectId) -> Result<std::vector<IdRow>> {
-    return src.ScanAt(v1);
+  ctx.resolve_at_end = [&](ObjectId) -> Result<BatchVector> {
+    return ScanBatchesAt(src, v1, nullptr);
   };
   ctx.resolve_delta = [&](ObjectId) { return src.ScanChanges(v0, v1); };
   auto recompute = Differentiate(*dt->dt->plan, ctx);

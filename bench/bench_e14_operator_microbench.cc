@@ -45,11 +45,11 @@ constexpr ObjectId kSrc = 1;
 
 DeltaContext MakeCtx(const Source& src) {
   DeltaContext ctx;
-  ctx.resolve_at_start = [&src](ObjectId) -> Result<std::vector<IdRow>> {
-    return src.start;
+  ctx.resolve_at_start = [&src](ObjectId) -> Result<BatchVector> {
+    return RowsToBatches(src.start);
   };
-  ctx.resolve_at_end = [&src](ObjectId) -> Result<std::vector<IdRow>> {
-    return src.end;
+  ctx.resolve_at_end = [&src](ObjectId) -> Result<BatchVector> {
+    return RowsToBatches(src.end);
   };
   ctx.resolve_delta = [&src](ObjectId) -> Result<ChangeSet> {
     return src.delta;
@@ -81,9 +81,10 @@ PlanPtr WindowPlan(const Source& src) {
 }
 
 void FullExec(const PlanPtr& plan, const Source& src, benchmark::State& state) {
+  const BatchVector batches = RowsToBatches(src.end);
   ExecContext ctx;
-  ctx.resolve_scan = [&src](ObjectId) -> Result<std::vector<IdRow>> {
-    return src.end;
+  ctx.resolve_scan = [&batches](ObjectId) -> Result<BatchVector> {
+    return batches;
   };
   for (auto _ : state) {
     auto r = ExecutePlan(*plan, ctx);

@@ -243,18 +243,17 @@ int main(int argc, char** argv) {
   if (!armed.ok) return 1;
   const std::vector<obs::TraceEvent> events = recorder.Snapshot();
   bool saw_sched = false, saw_refresh = false, saw_serve = false;
-  size_t exec_spans = 0, persist_spans = 0;
+  size_t persist_spans = 0;
   for (const obs::TraceEvent& e : events) {
     if (std::strcmp(e.category, "sched") == 0) saw_sched = true;
     if (std::strcmp(e.category, "refresh") == 0) saw_refresh = true;
     if (std::strcmp(e.category, "serve") == 0) saw_serve = true;
-    if (std::strcmp(e.category, "exec") == 0) ++exec_spans;
     if (std::strcmp(e.category, "persist") == 0) ++persist_spans;
   }
   Status wrote = recorder.WriteChromeTrace("BENCH_E20_trace.json");
-  std::printf("\narmed run: %zu events recorded, %zu dropped (%zu exec, "
-              "%zu persist spans); armed fingerprint match: %s\n",
-              recorder.size(), recorder.dropped(), exec_spans, persist_spans,
+  std::printf("\narmed run: %zu events recorded, %zu dropped (%zu persist "
+              "spans); armed fingerprint match: %s\n",
+              recorder.size(), recorder.dropped(), persist_spans,
               armed.deterministic_metrics == r0.deterministic_metrics
                   ? "yes" : "NO");
   bench::Check(wrote.ok(), "Chrome trace written (BENCH_E20_trace.json)");

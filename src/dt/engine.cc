@@ -11,14 +11,23 @@ namespace dvs {
 namespace {
 
 // Visits the latest version's rows in scan order, in place (no copy of the
-// table), stopping at the first error `fn` returns.
+// table), stopping at the first error `fn` returns. As in a plan's scan, a
+// row whose width is not the schema's (written past it through the storage
+// API) fails before `fn` reads it.
 template <typename Fn>
 Status ForEachLatestRow(const VersionedTable& table, Fn&& fn) {
   Status status = OkStatus();
+  const size_t width = table.schema().size();
   table.VisitPartitionsAt(
       table.latest_version(), [&](const MicroPartition& p) {
         p.ForEach([&](const IdRow& r) {
-          if (status.ok()) status = fn(r);
+          if (!status.ok()) return;
+          status = r.values.size() == width
+                       ? fn(r)
+                       : Corruption("row of width " +
+                                    std::to_string(r.values.size()) +
+                                    " does not match the schema's " +
+                                    std::to_string(width) + " columns");
         });
       });
   return status;
@@ -122,7 +131,6 @@ Result<QueryResult> DvsEngine::ExecuteSelect(const sql::SelectStmt& stmt) {
   ExecContext ctx;
   ctx.resolve_scan = refresh_.MakeResolver(now, /*exact_dt=*/false);
   ctx.eval.current_time = now;
-  ctx.force_row_path = force_row_path_;
   DVS_ASSIGN_OR_RETURN(std::vector<Row> rows,
                        ExecutePlanRows(*bound.plan, ctx));
 
@@ -175,7 +183,6 @@ Result<QueryResult> DvsEngine::ExecuteExplain(const sql::ExplainStmt& stmt) {
   ExecContext ctx;
   ctx.resolve_scan = refresh_.MakeResolver(now, /*exact_dt=*/false);
   ctx.eval.current_time = now;
-  ctx.force_row_path = force_row_path_;
   ctx.profile = &sink;
   DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows, ExecutePlan(*bound.plan, ctx));
   for (std::string& line :
@@ -304,7 +311,7 @@ Result<QueryResult> DvsEngine::ExecuteCreateDt(
 
   // Decide the effective refresh mode (§3.3.2).
   IncrementalityAnalysis analysis = AnalyzeIncrementality(*bound.plan);
-  bool incremental;
+  bool incremental = false;
   switch (stmt.refresh_mode) {
     case RefreshMode::kIncremental:
       if (!analysis.incremental) {

@@ -97,11 +97,6 @@ class DvsEngine {
     table_fns_ = std::move(provider);
   }
 
-  /// Test knob: forces direct SELECTs (and EXPLAIN ANALYZE) onto the
-  /// row-at-a-time interpreter even for batch-safe plans, so both engines'
-  /// profile output can be exercised through the SQL surface.
-  void set_force_row_path(bool force) { force_row_path_ = force; }
-
  private:
   /// Records the versions a SELECT resolved (recorder enabled only).
   void RecordQueryReads(const PlanPtr& plan);
@@ -124,7 +119,6 @@ class DvsEngine {
   WarehousePool warehouses_;
   std::unique_ptr<IsolationRecorder> recorder_;
   sql::TableFunctionProvider table_fns_;
-  bool force_row_path_ = false;
 };
 
 }  // namespace dvs

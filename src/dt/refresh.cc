@@ -35,6 +35,14 @@ class LockGuard {
   bool locked_ = false;
 };
 
+/// The dual table's single zero-width row (FROM-less SELECTs).
+BatchVector DualBatch() {
+  auto dual = std::make_shared<ColumnBatch>();
+  dual->rows = 1;
+  dual->ids = {1};
+  return BatchVector{std::move(dual)};
+}
+
 bool CountsAsFailure(const Status& s) {
   switch (s.code()) {
     case StatusCode::kLockConflict:
@@ -59,16 +67,14 @@ const char* RefreshActionName(RefreshAction a) {
 }
 
 ScanResolver RefreshEngine::MakeResolver(Micros ts, bool exact_dt) {
-  return [this, ts, exact_dt](ObjectId id) -> Result<std::vector<IdRow>> {
-    if (id == sql::kDualTableId) {
-      return std::vector<IdRow>{{1, {}}};
-    }
+  return [this, ts, exact_dt](ObjectId id) -> Result<BatchVector> {
+    if (id == sql::kDualTableId) return DualBatch();
     return ScanAsOf(id, ts, exact_dt);
   };
 }
 
-Result<std::vector<IdRow>> RefreshEngine::ScanAsOf(ObjectId id, Micros ts,
-                                                   bool exact_dt) {
+Result<BatchVector> RefreshEngine::ScanAsOf(ObjectId id, Micros ts,
+                                            bool exact_dt) {
   DVS_ASSIGN_OR_RETURN(CatalogObject * obj, catalog_->FindById(id));
   switch (obj->kind) {
     case ObjectKind::kBaseTable: {
@@ -84,15 +90,15 @@ Result<std::vector<IdRow>> RefreshEngine::ScanAsOf(ObjectId id, Micros ts,
               " is below the retention window (oldest retained version is " +
               std::to_string(obj->storage->first_version()) + ")");
         }
-        return std::vector<IdRow>{};
+        return BatchVector{};
       }
-      return obj->storage->ScanAt(v);
+      return ScanBatchesAt(*obj->storage, v, nullptr);
     }
     case ObjectKind::kView: {
       ExecContext ctx;
       ctx.resolve_scan = MakeResolver(ts, exact_dt);
       ctx.eval.current_time = ts;
-      return ExecutePlan(*obj->view_plan, ctx);
+      return ExecutePlanBatches(*obj->view_plan, ctx);
     }
     case ObjectKind::kDynamicTable: {
       const DynamicTableMeta& meta = *obj->dt;
@@ -110,7 +116,7 @@ Result<std::vector<IdRow>> RefreshEngine::ScanAsOf(ObjectId id, Micros ts,
               "no table version of '" + obj->name + "' for data timestamp " +
               std::to_string(ts) + " (scheduler bug or skipped refresh)");
         }
-        return obj->storage->ScanAt(*v);
+        return ScanBatchesAt(*obj->storage, *v, nullptr);
       }
       auto latest = meta.LatestRefreshAtOrBefore(ts);
       if (!latest.has_value()) {
@@ -118,7 +124,8 @@ Result<std::vector<IdRow>> RefreshEngine::ScanAsOf(ObjectId id, Micros ts,
                                   "' has no data at or before " +
                                   std::to_string(ts));
       }
-      return obj->storage->ScanAt(*meta.VersionForRefresh(*latest));
+      return ScanBatchesAt(*obj->storage, *meta.VersionForRefresh(*latest),
+                           nullptr);
     }
   }
   return Internal("unhandled object kind");
@@ -196,31 +203,11 @@ RefreshEngine::ResolveSourceVersions(const CatalogObject& obj,
   return out;
 }
 
-ScanResolver RefreshEngine::MakeVersionResolver(
-    std::shared_ptr<const std::unordered_map<ObjectId, VersionId>> versions) {
-  return [this, versions](ObjectId id) -> Result<std::vector<IdRow>> {
-    if (id == sql::kDualTableId) {
-      return std::vector<IdRow>{{1, {}}};
-    }
-    auto it = versions->find(id);
-    if (it == versions->end()) {
-      return Internal("no pinned version for source " + std::to_string(id));
-    }
-    DVS_ASSIGN_OR_RETURN(const CatalogObject* obj, catalog_->FindById(id));
-    return obj->storage->ScanAt(it->second);
-  };
-}
-
-BatchScanResolver RefreshEngine::MakeBatchVersionResolver(
+ScanResolver RefreshEngine::MakePinnedResolver(
     std::shared_ptr<const std::unordered_map<ObjectId, VersionId>> versions,
     std::shared_ptr<PartitionBatchCache> cache) {
   return [this, versions, cache](ObjectId id) -> Result<BatchVector> {
-    if (id == sql::kDualTableId) {
-      auto dual = std::make_shared<ColumnBatch>();
-      dual->rows = 1;
-      dual->ids = {1};
-      return BatchVector{std::move(dual)};
-    }
+    if (id == sql::kDualTableId) return DualBatch();
     auto it = versions->find(id);
     if (it == versions->end()) {
       return Internal("no pinned version for source " + std::to_string(id));
@@ -235,11 +222,9 @@ Result<std::vector<IdRow>> RefreshEngine::ComputeFull(
     const std::unordered_map<ObjectId, VersionId>& versions, Micros ts,
     uint64_t* rows_processed, obs::ProfileSink* profile) {
   ExecContext ctx;
-  auto pinned =
-      std::make_shared<const std::unordered_map<ObjectId, VersionId>>(versions);
-  ctx.resolve_scan = MakeVersionResolver(pinned);
-  ctx.resolve_scan_batches = MakeBatchVersionResolver(
-      pinned, std::make_shared<PartitionBatchCache>());
+  ctx.resolve_scan = MakePinnedResolver(
+      std::make_shared<const std::unordered_map<ObjectId, VersionId>>(versions),
+      std::make_shared<PartitionBatchCache>());
   ctx.eval.current_time = ts;
   ctx.profile = profile;
   auto rows = ExecutePlan(*obj.dt->plan, ctx);
@@ -451,14 +436,12 @@ Result<RefreshOutcome> RefreshEngine::Refresh(ObjectId dt_id,
     auto pinned_end =
         std::make_shared<const std::unordered_map<ObjectId, VersionId>>(
             source_versions);
-    dctx.resolve_at_start = MakeVersionResolver(pinned_start);
-    dctx.resolve_at_end = MakeVersionResolver(pinned_end);
     // One partition->batch cache for both endpoints: partitions unchanged
     // over the interval become pointer-identical batches at both ends,
     // which the batch engine's cross-endpoint caches key on.
     auto pcache = std::make_shared<PartitionBatchCache>();
-    dctx.batch_resolve_at_start = MakeBatchVersionResolver(pinned_start, pcache);
-    dctx.batch_resolve_at_end = MakeBatchVersionResolver(pinned_end, pcache);
+    dctx.resolve_at_start = MakePinnedResolver(pinned_start, pcache);
+    dctx.resolve_at_end = MakePinnedResolver(pinned_end, pcache);
     dctx.resolve_delta = [&deltas](ObjectId id) -> Result<ChangeSet> {
       if (id == sql::kDualTableId) return ChangeSet{};
       auto it = deltas.find(id);

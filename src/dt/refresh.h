@@ -91,10 +91,10 @@ class RefreshEngine {
   /// Returns the chosen data timestamp.
   Result<Micros> Initialize(ObjectId dt_id, Micros now);
 
-  /// Materializes any object's contents as of data timestamp `ts` under DVS
-  /// resolution. `exact_dt`: DTs resolve by exact refresh timestamp
+  /// Any object's contents as of data timestamp `ts` under DVS resolution,
+  /// as column batches. `exact_dt`: DTs resolve by exact refresh timestamp
   /// (refresh-path rule); otherwise by latest refresh <= ts (query path).
-  Result<std::vector<IdRow>> ScanAsOf(ObjectId id, Micros ts, bool exact_dt);
+  Result<BatchVector> ScanAsOf(ObjectId id, Micros ts, bool exact_dt);
 
   /// Scan resolver for executing plans at data timestamp `ts`.
   ScanResolver MakeResolver(Micros ts, bool exact_dt);
@@ -168,16 +168,12 @@ class RefreshEngine {
   /// Resolver pinned to explicit per-source versions — the frontier
   /// mechanism of §5.3. Wall-time resolution is ambiguous when several
   /// commits share a physical clock tick; refreshes must read the *exact*
-  /// versions recorded at interval endpoints.
-  ScanResolver MakeVersionResolver(
-      std::shared_ptr<const std::unordered_map<ObjectId, VersionId>> versions);
-
-  /// Columnar twin of MakeVersionResolver: resolves the same pinned versions
-  /// as column batches. `cache` memoizes per-partition conversions; an
-  /// incremental refresh passes ONE cache to both endpoint resolvers, so
-  /// partitions unchanged over the interval produce pointer-identical
-  /// batches at both ends (the batch engine's cross-endpoint cache key).
-  BatchScanResolver MakeBatchVersionResolver(
+  /// versions recorded at interval endpoints. `cache` memoizes
+  /// per-partition conversions; an incremental refresh passes ONE cache to
+  /// both endpoint resolvers, so partitions unchanged over the interval
+  /// produce pointer-identical batches at both ends (the batch engine's
+  /// cross-endpoint cache key).
+  ScanResolver MakePinnedResolver(
       std::shared_ptr<const std::unordered_map<ObjectId, VersionId>> versions,
       std::shared_ptr<PartitionBatchCache> cache);
 

@@ -3,54 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <numeric>
 #include <set>
 
 #include "exec/row_id.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace dvs {
 
 namespace {
 
-Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env);
-
-/// Columnar bail-out accounting: the always-on global counter plus the
-/// per-node profile slot when a sink is attached.
-void CountBail(const BatchExecEnv& env, const PlanNode& n) {
-  obs::ExecCounters::Instance().vector_bails += 1;
-  if (env.profile != nullptr) env.profile->Node(n.node_tag)->vector_bails += 1;
-}
+Result<BatchVector> ExecB(const PlanNode& n, const ExecContext& ctx);
 
 /// Error-driven row-wise redo accounting (vectorized evaluation failed and
-/// the scalar path reruns the work so error selection matches the row
-/// engine).
-void CountRedo(const BatchExecEnv& env, const PlanNode& n) {
+/// the scalar path reruns the work so error selection matches the scalar
+/// kernels).
+void CountRedo(const ExecContext& ctx, const PlanNode& n) {
   obs::ExecCounters::Instance().row_redos += 1;
-  if (env.profile != nullptr) env.profile->Node(n.node_tag)->row_redos += 1;
-}
-
-// ---- Conversion helpers ----
-
-bool UniformWidth(const std::vector<IdRow>& rows) {
-  if (rows.empty()) return true;
-  const size_t w = rows[0].values.size();
-  for (const IdRow& r : rows) {
-    if (r.values.size() != w) return false;
-  }
-  return true;
-}
-
-/// Row->batch adapter that bails (instead of guessing) on ragged rows.
-Result<BatchVector> RowsToBatchesChecked(const std::vector<IdRow>& rows,
-                                         const BatchExecEnv& env,
-                                         const PlanNode& n) {
-  if (!UniformWidth(rows)) {
-    env.bail = true;
-    CountBail(env, n);
-    return BatchVector{};
-  }
-  return RowsToBatches(rows);
+  if (ctx.profile != nullptr) ctx.profile->Node(n.node_tag)->row_redos += 1;
 }
 
 /// Materializes a child's batches and runs a row kernel (operators with no
@@ -58,12 +28,11 @@ Result<BatchVector> RowsToBatchesChecked(const std::vector<IdRow>& rows,
 /// per-node via the ExecB wrapper.
 template <typename Kernel>
 Result<BatchVector> RowKernelFallback(const PlanNode& n,
-                                      const BatchExecEnv& env,
+                                      const ExecContext& ctx,
                                       Kernel&& kernel) {
-  DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
+  DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], ctx));
   DVS_ASSIGN_OR_RETURN(std::vector<IdRow> out, kernel(BatchesToRows(in)));
-  return RowsToBatchesChecked(out, env, n);
+  return RowsToBatches(out);
 }
 
 // ---- Filter ----
@@ -80,14 +49,13 @@ Result<Sel> RedoFilterRowwise(const PlanNode& n, const ColumnBatch& batch,
   return sel;
 }
 
-Result<BatchVector> ExecFilterB(const PlanNode& n, const BatchExecEnv& env) {
-  DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
+Result<BatchVector> ExecFilterB(const PlanNode& n, const ExecContext& ctx) {
+  DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], ctx));
   BatchVector out;
   out.reserve(in.size());
   for (const BatchPtr& batch : in) {
     Sel sel;
-    Result<ColumnPtr> pred = EvalColumn(*n.predicate, *batch, nullptr, env.eval);
+    Result<ColumnPtr> pred = EvalColumn(*n.predicate, *batch, nullptr, ctx.eval);
     if (pred.ok()) {
       const BatchColumn& p = *pred.value();
       bool fast_bool = p.lane() == BatchColumn::Lane::kI64 &&
@@ -106,10 +74,10 @@ Result<BatchVector> ExecFilterB(const PlanNode& n, const BatchExecEnv& env) {
       }
     } else {
       // Vector evaluation failed somewhere in this batch: redo it row-wise
-      // so the surfaced error (if the scalar path errors at all) is the row
-      // engine's, for the row engine's row.
-      CountRedo(env, n);
-      DVS_ASSIGN_OR_RETURN(sel, RedoFilterRowwise(n, *batch, env.eval));
+      // so the surfaced error (if the scalar path errors at all) is the
+      // scalar path's, for the scalar path's row.
+      CountRedo(ctx, n);
+      DVS_ASSIGN_OR_RETURN(sel, RedoFilterRowwise(n, *batch, ctx.eval));
     }
     if (sel.empty()) continue;
     if (sel.size() == batch->rows) {
@@ -142,9 +110,8 @@ Result<BatchPtr> RedoProjectRowwise(const PlanNode& n,
   return BatchPtr(out);
 }
 
-Result<BatchVector> ExecProjectB(const PlanNode& n, const BatchExecEnv& env) {
-  DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
+Result<BatchVector> ExecProjectB(const PlanNode& n, const ExecContext& ctx) {
+  DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], ctx));
   BatchVector out;
   out.reserve(in.size());
   for (const BatchPtr& batch : in) {
@@ -154,7 +121,7 @@ Result<BatchVector> ExecProjectB(const PlanNode& n, const BatchExecEnv& env) {
     ob->cols.reserve(n.exprs.size());
     bool redo = false;
     for (const ExprPtr& e : n.exprs) {
-      Result<ColumnPtr> col = EvalColumn(*e, *batch, nullptr, env.eval);
+      Result<ColumnPtr> col = EvalColumn(*e, *batch, nullptr, ctx.eval);
       if (!col.ok()) {
         redo = true;
         break;
@@ -162,9 +129,9 @@ Result<BatchVector> ExecProjectB(const PlanNode& n, const BatchExecEnv& env) {
       ob->cols.push_back(col.take());
     }
     if (redo) {
-      CountRedo(env, n);
+      CountRedo(ctx, n);
       DVS_ASSIGN_OR_RETURN(BatchPtr rb,
-                           RedoProjectRowwise(n, *batch, env.eval));
+                           RedoProjectRowwise(n, *batch, ctx.eval));
       out.push_back(std::move(rb));
     } else {
       out.push_back(std::move(ob));
@@ -175,11 +142,10 @@ Result<BatchVector> ExecProjectB(const PlanNode& n, const BatchExecEnv& env) {
 
 // ---- UnionAll ----
 
-Result<BatchVector> ExecUnionAllB(const PlanNode& n, const BatchExecEnv& env) {
+Result<BatchVector> ExecUnionAllB(const PlanNode& n, const ExecContext& ctx) {
   BatchVector out;
   for (size_t b = 0; b < n.children.size(); ++b) {
-    DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[b], env));
-    if (env.bail) return BatchVector{};
+    DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[b], ctx));
     for (const BatchPtr& batch : in) {
       auto ob = std::make_shared<ColumnBatch>();
       ob->rows = batch->rows;
@@ -196,9 +162,9 @@ Result<BatchVector> ExecUnionAllB(const PlanNode& n, const BatchExecEnv& env) {
 
 // ---- Join ----
 
-bool JoinExprsImmutable(const PlanNode& n, const BatchExecEnv& env) {
-  auto it = env.memo->immutable.find(&n);
-  if (it != env.memo->immutable.end()) return it->second;
+bool JoinExprsImmutable(const PlanNode& n, const ExecContext& ctx) {
+  auto it = ctx.memo->immutable.find(&n);
+  if (it != ctx.memo->immutable.end()) return it->second;
   bool ok = true;
   auto check = [&](const ExprPtr& e) {
     if (!e || !ok) return;
@@ -208,7 +174,7 @@ bool JoinExprsImmutable(const PlanNode& n, const BatchExecEnv& env) {
   for (const ExprPtr& e : n.left_keys) check(e);
   for (const ExprPtr& e : n.right_keys) check(e);
   check(n.residual);
-  env.memo->immutable.emplace(&n, ok);
+  ctx.memo->immutable.emplace(&n, ok);
   return ok;
 }
 
@@ -221,49 +187,31 @@ bool KeysEqualAt(const BatchKeys& a, size_t i, const BatchKeys& b, size_t j) {
 
 Result<BatchVector> RowFallbackJoin(const PlanNode& n, const BatchVector& lb,
                                     const BatchVector& rb,
-                                    const BatchExecEnv& env) {
-  CountRedo(env, n);
+                                    const ExecContext& ctx) {
+  CountRedo(ctx, n);
   DVS_ASSIGN_OR_RETURN(
       std::vector<IdRow> out,
-      ComputeJoin(n, BatchesToRows(lb), BatchesToRows(rb), env.eval));
-  return RowsToBatchesChecked(out, env, n);
+      ComputeJoin(n, BatchesToRows(lb), BatchesToRows(rb), ctx.eval));
+  return RowsToBatches(out);
 }
 
-Result<BatchVector> ExecJoinB(const PlanNode& n, const BatchExecEnv& env) {
-  DVS_ASSIGN_OR_RETURN(BatchVector left, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
-  DVS_ASSIGN_OR_RETURN(BatchVector right, ExecB(*n.children[1], env));
-  if (env.bail) return BatchVector{};
+Result<BatchVector> ExecJoinB(const PlanNode& n, const ExecContext& ctx) {
+  DVS_ASSIGN_OR_RETURN(BatchVector left, ExecB(*n.children[0], ctx));
+  DVS_ASSIGN_OR_RETURN(BatchVector right, ExecB(*n.children[1], ctx));
 
+  // Every batch has its child's schema width (sources are width-checked).
   const size_t lw = n.children[0]->output_schema.size();
   const size_t rw = n.children[1]->output_schema.size();
-  // The gather kernels need the schema widths to hold for every batch
-  // (the row engine concatenates whatever widths rows actually have); bail
-  // to the row path on mismatch rather than diverge.
-  for (const BatchPtr& b : left) {
-    if (b->width() != lw) {
-      env.bail = true;
-      CountBail(env, n);
-      return BatchVector{};
-    }
-  }
-  for (const BatchPtr& b : right) {
-    if (b->width() != rw) {
-      env.bail = true;
-      CountBail(env, n);
-      return BatchVector{};
-    }
-  }
 
   const bool cacheable =
-      env.memo != nullptr &&
+      ctx.memo != nullptr &&
       (n.join_type == JoinType::kInner || n.join_type == JoinType::kLeft) &&
-      JoinExprsImmutable(n, env);
-  BatchJoinCache* cache = cacheable ? &env.memo->join[&n] : nullptr;
+      JoinExprsImmutable(n, ctx);
+  BatchJoinCache* cache = cacheable ? &ctx.memo->join[&n] : nullptr;
   BatchJoinCache local;
   BatchJoinCache* build = cache ? cache : &local;
   obs::OpStats* prof =
-      env.profile != nullptr ? env.profile->Node(n.node_tag) : nullptr;
+      ctx.profile != nullptr ? ctx.profile->Node(n.node_tag) : nullptr;
 
   bool build_hit = cache && cache->right_fingerprint == right;
   if (cache != nullptr) {
@@ -284,11 +232,11 @@ Result<BatchVector> ExecJoinB(const PlanNode& n, const BatchExecEnv& env) {
     build->index.reserve(total_right);
     for (size_t bi = 0; bi < right.size(); ++bi) {
       Result<BatchKeys> keys =
-          ComputeBatchKeys(n.right_keys, *right[bi], env.eval);
+          ComputeBatchKeys(n.right_keys, *right[bi], ctx.eval);
       if (!keys.ok()) {
         // Key evaluation failed somewhere: rerun the whole node through the
         // row kernel, which surfaces the scalar engine's error (or result).
-        return RowFallbackJoin(n, left, right, env);
+        return RowFallbackJoin(n, left, right, ctx);
       }
       build->right_keys.push_back(keys.take());
       const BatchKeys& bk = build->right_keys.back();
@@ -321,8 +269,8 @@ Result<BatchVector> ExecJoinB(const PlanNode& n, const BatchExecEnv& env) {
         continue;
       }
     }
-    Result<BatchKeys> lkeys = ComputeBatchKeys(n.left_keys, *lb, env.eval);
-    if (!lkeys.ok()) return RowFallbackJoin(n, left, right, env);
+    Result<BatchKeys> lkeys = ComputeBatchKeys(n.left_keys, *lb, ctx.eval);
+    if (!lkeys.ok()) return RowFallbackJoin(n, left, right, ctx);
     const BatchKeys& lk = lkeys.value();
 
     auto ob = std::make_shared<ColumnBatch>();
@@ -354,7 +302,7 @@ Result<BatchVector> ExecJoinB(const PlanNode& n, const BatchExecEnv& env) {
               Row rrow = MaterializeRow(*right[bi], r);
               combined.insert(combined.end(), rrow.begin(), rrow.end());
               DVS_ASSIGN_OR_RETURN(
-                  bool pass, EvalPredicate(*n.residual, combined, env.eval));
+                  bool pass, EvalPredicate(*n.residual, combined, ctx.eval));
               if (!pass) continue;
             }
             matched = true;
@@ -441,7 +389,7 @@ struct AggAccum {
   Value best;
   // DISTINCT state (first-occurrence order is preserved by folding online)
   std::set<Value> uniq;
-  // First error the row engine would surface for this (group, agg); held
+  // First error the row kernel would surface for this (group, agg); held
   // back until emit time so error selection matches the sorted-group,
   // agg-index, member-order discipline of ComputeAggregates.
   Status err = OkStatus();
@@ -525,24 +473,18 @@ Value FinalizeAgg(const Expr& agg, const AggAccum& a, size_t members) {
   return Value::Null();
 }
 
-Result<BatchVector> ExecAggregateB(const PlanNode& n,
-                                   const BatchExecEnv& env) {
-  DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
-  // Full execution always forces the scalar-aggregation global group.
-  return ComputeAggregateBatches(n, in, env, /*force_global_group=*/true);
-}
+}  // namespace
 
-Result<BatchVector> AggregateBatchesImpl(const PlanNode& n,
-                                         const BatchVector& in,
-                                         const BatchExecEnv& env,
-                                         bool force_global_group) {
+Result<BatchVector> ComputeAggregateBatches(const PlanNode& n,
+                                            const BatchVector& in,
+                                            const ExecContext& ctx,
+                                            bool force_global_group) {
   auto row_fallback = [&]() -> Result<BatchVector> {
-    CountRedo(env, n);
+    CountRedo(ctx, n);
     DVS_ASSIGN_OR_RETURN(std::vector<IdRow> out,
-                         ComputeAggregateRows(n, BatchesToRows(in), env.eval,
+                         ComputeAggregateRows(n, BatchesToRows(in), ctx.eval,
                                               force_global_group));
-    return RowsToBatchesChecked(out, env, n);
+    return RowsToBatches(out);
   };
 
   // Group keys and aggregate argument columns, one vector pass per batch.
@@ -552,7 +494,7 @@ Result<BatchVector> AggregateBatchesImpl(const PlanNode& n,
   keys.reserve(in.size());
   std::vector<std::vector<ColumnPtr>> args(in.size());
   for (size_t bi = 0; bi < in.size(); ++bi) {
-    Result<BatchKeys> bk = ComputeBatchKeys(n.group_by, *in[bi], env.eval);
+    Result<BatchKeys> bk = ComputeBatchKeys(n.group_by, *in[bi], ctx.eval);
     if (!bk.ok()) return row_fallback();
     keys.push_back(bk.take());
     args[bi].reserve(n.aggregates.size());
@@ -563,7 +505,7 @@ Result<BatchVector> AggregateBatchesImpl(const PlanNode& n,
         continue;
       }
       Result<ColumnPtr> col =
-          EvalColumn(*agg->children[0], *in[bi], nullptr, env.eval);
+          EvalColumn(*agg->children[0], *in[bi], nullptr, ctx.eval);
       if (!col.ok()) return row_fallback();
       args[bi].push_back(col.take());
     }
@@ -650,89 +592,93 @@ Result<BatchVector> AggregateBatchesImpl(const PlanNode& n,
   return out;
 }
 
+namespace {
+
 // ---- Dispatch ----
 
-Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env) {
-  // One span per operator execution; disarmed cost is a single relaxed
-  // atomic load per plan node, amortized over the whole batch stream.
-  obs::TraceSpan span("exec", PlanKindName(n.kind));
+Result<BatchVector> ExecB(const PlanNode& n, const ExecContext& ctx) {
   // Profile timing is taken only when a sink is attached; the disarmed cost
   // of the hook is this one null check.
   std::chrono::steady_clock::time_point prof_start;
-  if (env.profile != nullptr) prof_start = std::chrono::steady_clock::now();
+  if (ctx.profile != nullptr) prof_start = std::chrono::steady_clock::now();
   Result<BatchVector> result = [&]() -> Result<BatchVector> {
     switch (n.kind) {
       case PlanKind::kValues: {
+        for (const Row& r : n.values_rows) {
+          DVS_RETURN_IF_ERROR(CheckSourceWidth(n, r.size()));
+        }
         DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows, ComputeValuesRows(n));
-        return RowsToBatchesChecked(rows, env, n);
+        return RowsToBatches(rows);
       }
       case PlanKind::kScan: {
-        if (env.resolve_scan_batches) {
-          // Publish this scan's profile slot so ScanBatchesAt (which has no
-          // plan context) can attribute partition-cache hits per node.
-          obs::ScopedScanTarget scan_attr(
-              env.profile != nullptr ? env.profile->Node(n.node_tag)
-                                     : nullptr);
-          return env.resolve_scan_batches(n.table_id);
+        // Publish this scan's profile slot so ScanBatchesAt (which has no
+        // plan context) can attribute partition-cache hits per node.
+        obs::ScopedScanTarget scan_attr(
+            ctx.profile != nullptr ? ctx.profile->Node(n.node_tag) : nullptr);
+        DVS_ASSIGN_OR_RETURN(BatchVector batches,
+                             ctx.resolve_scan(n.table_id));
+        for (const BatchPtr& b : batches) {
+          DVS_RETURN_IF_ERROR(CheckSourceWidth(n, b->width()));
         }
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows,
-                             env.resolve_scan(n.table_id));
-        return RowsToBatchesChecked(rows, env, n);
+        return batches;
       }
       case PlanKind::kFilter:
-        return ExecFilterB(n, env);
+        return ExecFilterB(n, ctx);
       case PlanKind::kProject:
-        return ExecProjectB(n, env);
+        return ExecProjectB(n, ctx);
       case PlanKind::kJoin:
-        return ExecJoinB(n, env);
+        return ExecJoinB(n, ctx);
       case PlanKind::kUnionAll:
-        return ExecUnionAllB(n, env);
-      case PlanKind::kAggregate:
-        return ExecAggregateB(n, env);
+        return ExecUnionAllB(n, ctx);
+      case PlanKind::kAggregate: {
+        DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], ctx));
+        // Full execution always forces the scalar-aggregation global group.
+        return ComputeAggregateBatches(n, in, ctx, /*force_global_group=*/true);
+      }
       case PlanKind::kDistinct:
-        return RowKernelFallback(n, env, [&](std::vector<IdRow> rows) {
-          return ComputeDistinctRows(n, rows, env.eval);
+        return RowKernelFallback(n, ctx, [&](std::vector<IdRow> rows) {
+          return ComputeDistinctRows(n, rows, ctx.eval);
         });
       case PlanKind::kWindow:
-        return RowKernelFallback(n, env, [&](std::vector<IdRow> rows) {
-          return ComputeWindowRows(n, rows, env.eval);
+        return RowKernelFallback(n, ctx, [&](std::vector<IdRow> rows) {
+          return ComputeWindowRows(n, rows, ctx.eval);
         });
       case PlanKind::kFlatten:
-      case PlanKind::kOrderBy:
-      case PlanKind::kLimit:
-        // Row-only operators: these sit at plan roots (presentation) or in
-        // cold paths; materialize and reuse the row implementations.
-        return RowKernelFallback(n, env, [&](std::vector<IdRow> rows)
-                                     -> Result<std::vector<IdRow>> {
-          ExecContext rctx;
-          rctx.resolve_scan = [&rows](ObjectId) -> Result<std::vector<IdRow>> {
-            return rows;
-          };
-          rctx.eval = env.eval;
-          rctx.force_row_path = true;
-          // Rebuild the node over a synthetic scan of the materialized
-          // child; only this node executes (children already ran).
-          PlanNode shim = n;
-          auto scan = std::make_shared<PlanNode>();
-          scan->kind = PlanKind::kScan;
-          scan->output_schema = n.children[0]->output_schema;
-          shim.children = {scan};
-          DVS_ASSIGN_OR_RETURN(std::vector<IdRow> out,
-                               ExecutePlan(shim, rctx));
-          // The shim charged the synthetic scan + this node into rctx; only
-          // this node's output is the real charge (the wrapper adds it).
-          return out;
+        return RowKernelFallback(n, ctx, [&](std::vector<IdRow> rows) {
+          return ComputeFlattenRows(n, rows, ctx.eval);
         });
+      case PlanKind::kOrderBy:
+        return RowKernelFallback(n, ctx, [&](std::vector<IdRow> rows) {
+          return ComputeOrderByRows(n, std::move(rows), ctx.eval);
+        });
+      case PlanKind::kLimit: {
+        DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], ctx));
+        if (n.limit < 0) return in;
+        // Keep whole batches up to the limit, then a prefix of the next.
+        BatchVector out;
+        size_t left = static_cast<size_t>(n.limit);
+        for (const BatchPtr& b : in) {
+          if (left == 0) break;
+          if (b->rows <= left) {
+            out.push_back(b);
+            left -= b->rows;
+            continue;
+          }
+          Sel prefix(left);
+          std::iota(prefix.begin(), prefix.end(), 0u);
+          out.push_back(GatherBatch(b, prefix));
+          left = 0;
+        }
+        return out;
+      }
     }
     return Internal("unhandled plan kind");
   }();
-  if (env.bail) return BatchVector{};
   if (result.ok()) {
     const uint64_t rows = BatchRowCount(result.value());
-    env.rows_processed += rows;
-    if (span.armed()) span.AddArg("rows", static_cast<int64_t>(rows));
-    if (env.profile != nullptr) {
-      obs::OpStats* s = env.profile->Node(n.node_tag);
+    ctx.rows_processed += rows;
+    if (ctx.profile != nullptr) {
+      obs::OpStats* s = ctx.profile->Node(n.node_tag);
       s->rows_out += rows;
       s->batches += result.value().size();
       s->wall_ns += static_cast<uint64_t>(
@@ -746,36 +692,9 @@ Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env) {
 
 }  // namespace
 
-bool PlanBatchSafe(const PlanNode& plan) {
-  bool safe = true;
-  auto check = [&safe](const ExprPtr& e) {
-    if (!e || !safe) return;
-    Result<Volatility> v = ExprVolatility(e);
-    if (!v.ok() || v.value() == Volatility::kVolatile) safe = false;
-  };
-  std::function<void(const PlanNode&)> walk = [&](const PlanNode& n) {
-    if (!safe) return;
-    check(n.predicate);
-    for (const ExprPtr& e : n.exprs) check(e);
-    for (const ExprPtr& e : n.left_keys) check(e);
-    for (const ExprPtr& e : n.right_keys) check(e);
-    check(n.residual);
-    for (const ExprPtr& e : n.group_by) check(e);
-    for (const ExprPtr& e : n.aggregates) check(e);
-    for (const ExprPtr& e : n.partition_by) check(e);
-    for (const SortKey& sk : n.order_by) check(sk.expr);
-    for (const ExprPtr& e : n.window_calls) check(e);
-    check(n.flatten_expr);
-    for (const SortKey& sk : n.sort_keys) check(sk.expr);
-    for (const PlanPtr& c : n.children) walk(*c);
-  };
-  walk(plan);
-  return safe;
-}
-
 Result<BatchVector> ExecutePlanBatches(const PlanNode& plan,
-                                       const BatchExecEnv& env) {
-  return ExecB(plan, env);
+                                       const ExecContext& ctx) {
+  return ExecB(plan, ctx);
 }
 
 BatchPtr GatherBatch(const BatchPtr& batch, const Sel& sel) {
@@ -791,13 +710,6 @@ BatchPtr GatherBatch(const BatchPtr& batch, const Sel& sel) {
     out->cols.push_back(std::move(col));
   }
   return out;
-}
-
-Result<BatchVector> ComputeAggregateBatches(const PlanNode& n,
-                                            const BatchVector& input,
-                                            const BatchExecEnv& env,
-                                            bool force_global_group) {
-  return AggregateBatchesImpl(n, input, env, force_global_group);
 }
 
 }  // namespace dvs

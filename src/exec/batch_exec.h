@@ -1,30 +1,26 @@
-// Batch-at-a-time plan execution.
+// Batch-at-a-time plan execution: the one engine every plan runs on (full
+// refresh, ad hoc SELECT, views, EXPLAIN ANALYZE, and the differentiator's
+// snapshots and recomputes).
 //
-// ExecutePlanBatches mirrors the row executor node for node, but moves data
-// as ColumnBatches: scans adapt partitions to batches, filters compact
-// selection vectors instead of copying rows, joins build/probe the HashedKey
-// digest infrastructure a batch of keys at a time, and aggregation
-// accumulates online over contiguous argument columns. Output rows, row
-// ids, emission order, error selection and the rows_processed work metric
-// are bit-identical to the row engine:
+// Data moves as ColumnBatches: scans adapt partitions to batches, filters
+// compact selection vectors instead of copying rows, joins build/probe the
+// HashedKey digest infrastructure a batch of keys at a time, and
+// aggregation accumulates online over contiguous argument columns. Value
+// semantics, row ids, emission order, error selection and the
+// rows_processed work metric are those of the shared row kernels
+// (exec/executor.h):
 //
 //  - all value semantics route through the shared scalar kernels
 //    (ApplyBinaryOp / ApplyUnaryOp / CastValue / function registry),
 //  - any vectorized evaluation error triggers a row-wise redo of the batch
-//    through the scalar code path, so the surfaced error (and which row
-//    "wins") always matches the row engine,
-//  - operators with no batch kernel (distinct, window, flatten, order-by,
-//    limit) materialize, run the shared row kernel, and re-batch,
-//  - per-node work accounting charges exactly the rows the row engine's
-//    Exec wrapper would.
+//    (or node) through the scalar code path, so the surfaced error — and
+//    which row "wins" — is the scalar engine's,
+//  - operators with no batch kernel (distinct, window, flatten, order-by)
+//    materialize, run the shared row kernel, and re-batch,
+//  - each operator charges its output rows to rows_processed.
 //
-// The engine bails out (sets BatchExecEnv::bail) instead of guessing when
-// inputs violate columnar assumptions (ragged row widths); the caller then
-// reruns the row path from scratch, charging fresh.
-//
-// Routing lives in ExecutePlan: batch execution is used when
-// PlanBatchSafe() holds (no volatile functions — vector evaluation reorders
-// rng draws) and the context does not force the row path.
+// Rows enter only through sources, whose width is checked against the
+// node's schema (CheckSourceWidth); every kernel may then rely on it.
 
 #ifndef DVS_EXEC_BATCH_EXEC_H_
 #define DVS_EXEC_BATCH_EXEC_H_
@@ -63,37 +59,16 @@ struct BatchJoinCache {
 /// for the refresh via the snapshot caches / partition cache).
 struct BatchMemo {
   /// Snapshot results per plan node, per interval endpoint (0 = start,
-  /// 1 = end). Mirrors the row-side start_cache/end_cache.
+  /// 1 = end).
   std::unordered_map<const PlanNode*, BatchVector> snapshots[2];
   std::unordered_map<const PlanNode*, BatchJoinCache> join;
   /// Memoized "all join/filter exprs immutable" verdicts per node.
   std::unordered_map<const PlanNode*, bool> immutable;
 };
 
-struct BatchExecEnv {
-  ScanResolver resolve_scan;                // row fallback for scans
-  BatchScanResolver resolve_scan_batches;   // preferred scan source
-  EvalContext eval;
-  mutable uint64_t rows_processed = 0;
-  /// Set when the engine hit a columnar-assumption violation; the result is
-  /// meaningless and the caller must rerun the row path.
-  mutable bool bail = false;
-  /// Optional cross-execution caches (differentiator refreshes).
-  BatchMemo* memo = nullptr;
-  /// Optional per-operator profile collector (obs/profile.h). Null when
-  /// profiling is disarmed — every hook site then costs one pointer check.
-  obs::ProfileSink* profile = nullptr;
-};
-
-/// True if every expression in the plan tree is batch-evaluable: no
-/// volatile functions anywhere (unknown functions also route to the row
-/// path so binding errors surface from the scalar engine).
-bool PlanBatchSafe(const PlanNode& plan);
-
-/// Executes the plan over column batches. On success (and !env.bail) the
-/// concatenated batches equal the row engine's output exactly.
+/// Executes the plan over column batches.
 Result<BatchVector> ExecutePlanBatches(const PlanNode& plan,
-                                       const BatchExecEnv& env);
+                                       const ExecContext& ctx);
 
 /// Gathers `sel` rows of `batch` into a fresh compacted batch (ids and all
 /// columns), preserving row order.
@@ -103,10 +78,11 @@ BatchPtr GatherBatch(const BatchPtr& batch, const Sel& sel);
 /// node). Matches ComputeAggregateRows bit-for-bit — values, row ids,
 /// sorted-group emission order, and error selection; the differentiator's
 /// affected-group recompute feeds it restricted batches. Vectorized
-/// evaluation failures rerun through the row kernel internally.
+/// evaluation failures rerun through the row kernel internally. Only
+/// `ctx.eval` and `ctx.profile` are read.
 Result<BatchVector> ComputeAggregateBatches(const PlanNode& n,
                                             const BatchVector& input,
-                                            const BatchExecEnv& env,
+                                            const ExecContext& ctx,
                                             bool force_global_group);
 
 }  // namespace dvs

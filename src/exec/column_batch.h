@@ -1,8 +1,8 @@
 // Columnar batch representation for the vectorized execution engine.
 //
 // A ColumnBatch is a fixed-size horizontal slice of a relation: one
-// BatchColumn per output column plus the per-row RowId vector the row engine
-// carries in IdRow. Columns are typed lanes of contiguous storage:
+// BatchColumn per output column plus the per-row RowId vector that IdRow
+// carries. Columns are typed lanes of contiguous storage:
 //
 //   kI64  — int64 payloads for BOOL / INT64 / TIMESTAMP values (the element
 //           tag records which; BOOL stores 0/1),
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -172,11 +171,6 @@ using BatchVector = std::vector<BatchPtr>;
 
 /// Selection vector: indices into a batch, in increasing order.
 using Sel = std::vector<uint32_t>;
-
-/// Resolves a table id to its contents as column batches, mirroring
-/// ScanResolver on the row side.
-using BatchScanResolver =
-    std::function<Result<BatchVector>(ObjectId table_id)>;
 
 size_t BatchRowCount(const BatchVector& batches);
 

@@ -2,48 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <set>
 #include <unordered_map>
 
 #include "exec/batch_exec.h"
 #include "exec/row_id.h"
-#include "obs/profile.h"
 
 namespace dvs {
 
 namespace {
-
-Result<std::vector<IdRow>> Exec(const PlanNode& n, const ExecContext& ctx);
-
-Result<std::vector<IdRow>> ExecFilter(const PlanNode& n,
-                                      const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-  std::vector<IdRow> out;
-  out.reserve(in.size());
-  for (IdRow& r : in) {
-    DVS_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*n.predicate, r.values, ctx.eval));
-    if (pass) out.push_back(std::move(r));
-  }
-  return out;
-}
-
-Result<std::vector<IdRow>> ExecProject(const PlanNode& n,
-                                       const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-  std::vector<IdRow> out;
-  out.reserve(in.size());
-  for (const IdRow& r : in) {
-    Row vals;
-    vals.reserve(n.exprs.size());
-    for (const ExprPtr& e : n.exprs) {
-      DVS_ASSIGN_OR_RETURN(Value v, Eval(*e, r.values, ctx.eval));
-      vals.push_back(std::move(v));
-    }
-    out.push_back({r.id, std::move(vals)});
-  }
-  return out;
-}
 
 Row ConcatRows(const Row& l, const Row& r) {
   Row out;
@@ -54,26 +21,6 @@ Row ConcatRows(const Row& l, const Row& r) {
 }
 
 Row NullRow(size_t n) { return Row(n, Value::Null()); }
-
-bool KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
-Result<std::vector<IdRow>> ExecUnionAll(const PlanNode& n,
-                                        const ExecContext& ctx) {
-  std::vector<IdRow> out;
-  for (size_t b = 0; b < n.children.size(); ++b) {
-    DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[b], ctx));
-    out.reserve(out.size() + in.size());
-    for (IdRow& r : in) {
-      out.push_back({rowid::Union(n.node_tag, b, r.id), std::move(r.values)});
-    }
-  }
-  return out;
-}
 
 // Comparator over precomputed sort keys, with row id as the repeatable
 // tie-break (the paper's "ties in ORDER BY are broken repeatably").
@@ -92,12 +39,14 @@ bool SortLess(const SortEntry& a, const SortEntry& b,
   return a.id < b.id;
 }
 
-Result<std::vector<IdRow>> ExecFlatten(const PlanNode& n,
-                                       const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
+}  // namespace
+
+Result<std::vector<IdRow>> ComputeFlattenRows(const PlanNode& n,
+                                              const std::vector<IdRow>& in,
+                                              const EvalContext& ctx) {
   std::vector<IdRow> out;
   for (const IdRow& r : in) {
-    DVS_ASSIGN_OR_RETURN(Value arr, Eval(*n.flatten_expr, r.values, ctx.eval));
+    DVS_ASSIGN_OR_RETURN(Value arr, Eval(*n.flatten_expr, r.values, ctx));
     if (arr.is_null()) continue;  // FLATTEN drops NULL inputs.
     if (arr.type() != DataType::kArray) {
       return UserError("FLATTEN input is not an array");
@@ -115,16 +64,16 @@ Result<std::vector<IdRow>> ExecFlatten(const PlanNode& n,
   return out;
 }
 
-Result<std::vector<IdRow>> ExecOrderBy(const PlanNode& n,
-                                       const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
+Result<std::vector<IdRow>> ComputeOrderByRows(const PlanNode& n,
+                                              std::vector<IdRow> in,
+                                              const EvalContext& ctx) {
   std::vector<SortEntry> entries;
   entries.reserve(in.size());
   for (size_t i = 0; i < in.size(); ++i) {
     Row keys;
     keys.reserve(n.sort_keys.size());
     for (const SortKey& sk : n.sort_keys) {
-      DVS_ASSIGN_OR_RETURN(Value v, Eval(*sk.expr, in[i].values, ctx.eval));
+      DVS_ASSIGN_OR_RETURN(Value v, Eval(*sk.expr, in[i].values, ctx));
       keys.push_back(std::move(v));
     }
     entries.push_back({std::move(keys), in[i].id, i});
@@ -139,71 +88,6 @@ Result<std::vector<IdRow>> ExecOrderBy(const PlanNode& n,
   return out;
 }
 
-Result<std::vector<IdRow>> Exec(const PlanNode& n, const ExecContext& ctx) {
-  // Profile timing is taken only when a sink is attached; the disarmed cost
-  // of the hook is this one null check.
-  std::chrono::steady_clock::time_point prof_start;
-  if (ctx.profile != nullptr) prof_start = std::chrono::steady_clock::now();
-  Result<std::vector<IdRow>> result = [&]() -> Result<std::vector<IdRow>> {
-    switch (n.kind) {
-      case PlanKind::kScan:
-        return ctx.resolve_scan(n.table_id);
-      case PlanKind::kValues:
-        return ComputeValuesRows(n);
-      case PlanKind::kFilter:
-        return ExecFilter(n, ctx);
-      case PlanKind::kProject:
-        return ExecProject(n, ctx);
-      case PlanKind::kJoin: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> left, Exec(*n.children[0], ctx));
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> right, Exec(*n.children[1], ctx));
-        return ComputeJoin(n, left, right, ctx.eval);
-      }
-      case PlanKind::kUnionAll:
-        return ExecUnionAll(n, ctx);
-      case PlanKind::kAggregate: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        return ComputeAggregateRows(n, in, ctx.eval,
-                                    /*force_global_group=*/true);
-      }
-      case PlanKind::kDistinct: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        return ComputeDistinctRows(n, in, ctx.eval);
-      }
-      case PlanKind::kWindow: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        return ComputeWindowRows(n, in, ctx.eval);
-      }
-      case PlanKind::kFlatten:
-        return ExecFlatten(n, ctx);
-      case PlanKind::kOrderBy:
-        return ExecOrderBy(n, ctx);
-      case PlanKind::kLimit: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        if (n.limit >= 0 && static_cast<size_t>(n.limit) < in.size()) {
-          in.resize(static_cast<size_t>(n.limit));
-        }
-        return in;
-      }
-    }
-    return Internal("unhandled plan kind");
-  }();
-  if (result.ok()) {
-    ctx.rows_processed += result.value().size();
-    if (ctx.profile != nullptr) {
-      obs::OpStats* s = ctx.profile->Node(n.node_tag);
-      s->rows_out += result.value().size();
-      s->wall_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - prof_start)
-              .count());
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
 Result<std::vector<IdRow>> ComputeValuesRows(const PlanNode& n) {
   std::vector<IdRow> out;
   out.reserve(n.values_rows.size());
@@ -215,40 +99,28 @@ Result<std::vector<IdRow>> ComputeValuesRows(const PlanNode& n) {
 
 Result<std::vector<IdRow>> ExecutePlan(const PlanNode& plan,
                                        const ExecContext& ctx) {
-  if (!ctx.force_row_path && PlanBatchSafe(plan)) {
-    BatchExecEnv env;
-    env.resolve_scan = ctx.resolve_scan;
-    env.resolve_scan_batches = ctx.resolve_scan_batches;
-    env.eval = ctx.eval;
-    // The batch attempt profiles into a scratch sink, merged only when the
-    // attempt stands — a bail reruns the row path charging fresh, and the
-    // profile must charge fresh with it.
-    obs::ProfileSink scratch;
-    if (ctx.profile != nullptr) env.profile = &scratch;
-    Result<BatchVector> result = ExecutePlanBatches(plan, env);
-    if (!env.bail) {
-      if (!result.ok()) return result.status();
-      ctx.rows_processed += env.rows_processed;
-      if (ctx.profile != nullptr) ctx.profile->MergeFrom(scratch);
-      return BatchesToRows(result.value());
-    }
-    // Columnar assumptions violated (e.g. ragged row widths): rerun the row
-    // interpreter from scratch, charging fresh — the scratch sink's partial
-    // counts are dropped with it, and the bail is charged to the plan root.
-    if (ctx.profile != nullptr) {
-      ctx.profile->Node(plan.node_tag)->vector_bails += 1;
-    }
-  }
-  return Exec(plan, ctx);
+  DVS_ASSIGN_OR_RETURN(BatchVector batches, ExecutePlanBatches(plan, ctx));
+  return BatchesToRows(batches);
 }
 
 Result<std::vector<Row>> ExecutePlanRows(const PlanNode& plan,
                                          const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows, ExecutePlan(plan, ctx));
+  DVS_ASSIGN_OR_RETURN(BatchVector batches, ExecutePlanBatches(plan, ctx));
   std::vector<Row> out;
-  out.reserve(rows.size());
-  for (IdRow& r : rows) out.push_back(std::move(r.values));
+  out.reserve(BatchRowCount(batches));
+  for (const BatchPtr& b : batches) {
+    for (size_t i = 0; i < b->rows; ++i) out.push_back(MaterializeRow(*b, i));
+  }
   return out;
+}
+
+Status CheckSourceWidth(const PlanNode& n, size_t width) {
+  if (width == n.output_schema.size()) return OkStatus();
+  std::string what = PlanKindName(n.kind);
+  if (!n.table_name.empty()) what += " " + n.table_name;
+  return Corruption(what + ": row of width " + std::to_string(width) +
+                    " does not match the schema's " +
+                    std::to_string(n.output_schema.size()) + " columns");
 }
 
 Result<Row> EvalKey(const std::vector<ExprPtr>& key_exprs, const Row& row,

@@ -1,10 +1,11 @@
-// Full (non-incremental) plan execution at a snapshot.
+// Full (non-incremental) plan execution at a snapshot, and the row kernels
+// the batch engine and the differentiator share.
 //
-// The executor is deliberately interpreter-style (DESIGN.md §5 documents the
-// substitution for Snowflake's vectorized push-based engine). Scans are
-// resolved through a caller-provided callback so the executor has no
-// dependency on the catalog/storage wiring; the dt module supplies resolvers
-// that read the correct table versions for DVS.
+// Every plan runs on the batch engine (exec/batch_exec.h); ExecutePlan is
+// its row-returning entry point. Scans are resolved through a
+// caller-provided callback so the executor has no dependency on the
+// catalog/storage wiring; the dt module supplies resolvers that read the
+// correct table versions for DVS.
 //
 // Every output row carries its algebraic row id (exec/row_id.h); full
 // execution and incremental refresh agree on identities.
@@ -27,38 +28,41 @@ namespace obs {
 class ProfileSink;
 }  // namespace obs
 
-/// Materializes the contents of a table (by object id) at the snapshot the
-/// resolver was built for.
-using ScanResolver =
-    std::function<Result<std::vector<IdRow>>(ObjectId table_id)>;
+struct BatchMemo;  // exec/batch_exec.h
+
+/// Materializes the contents of a table (by object id) as column batches at
+/// the snapshot the resolver was built for.
+using ScanResolver = std::function<Result<BatchVector>(ObjectId table_id)>;
 
 struct ExecContext {
   ScanResolver resolve_scan;
-  /// Optional columnar scan source (exec/batch_exec.h). When set and the
-  /// plan is batch-safe, ExecutePlan runs the vectorized engine; scans that
-  /// only have a row resolver are adapted per batch.
-  BatchScanResolver resolve_scan_batches;
   EvalContext eval;
   /// Work accounting: rows produced by all operators, used by the cost
   /// model. Mutated during execution.
   mutable uint64_t rows_processed = 0;
-  /// Forces the row-at-a-time interpreter even for batch-safe plans (the
-  /// equivalence tests use it as the oracle).
-  bool force_row_path = false;
+  /// Optional cross-execution caches (differentiator refreshes).
+  BatchMemo* memo = nullptr;
   /// Optional per-operator profile collector (obs/profile.h). Null when
   /// profiling is disarmed — every hook site then costs one pointer check.
+  /// Hooks write straight into it, so a failed execution leaves the counts
+  /// of the operators that finished before the error.
   obs::ProfileSink* profile = nullptr;
 };
 
-/// Executes the plan, returning all output rows with ids. Batch-safe plans
-/// (exec/batch_exec.h) run on the columnar engine; results, row ids and
-/// rows_processed are identical either way.
+/// Executes the plan on the batch engine, returning all output rows with
+/// ids.
 Result<std::vector<IdRow>> ExecutePlan(const PlanNode& plan,
                                        const ExecContext& ctx);
 
 /// Convenience: executes and strips ids.
 Result<std::vector<Row>> ExecutePlanRows(const PlanNode& plan,
                                          const ExecContext& ctx);
+
+/// Rows enter plan execution only through sources (scans, VALUES, change
+/// scans), and every operator assumes its input has its child's schema
+/// width. A source row of another width — one written past the schema
+/// through the storage API — fails here instead of reaching the kernels.
+Status CheckSourceWidth(const PlanNode& n, size_t width);
 
 // ---- Helpers shared with the differentiator ----
 
@@ -138,8 +142,20 @@ Result<std::vector<IdRow>> ComputeDistinctRows(const PlanNode& n,
                                                const std::vector<IdRow>& input,
                                                const EvalContext& ctx);
 
+/// Flatten kernel over a materialized input (n is a kFlatten node): one row
+/// per array element; NULL inputs are dropped.
+Result<std::vector<IdRow>> ComputeFlattenRows(const PlanNode& n,
+                                              const std::vector<IdRow>& input,
+                                              const EvalContext& ctx);
+
+/// Order-by kernel over a materialized input (n is a kOrderBy node); ties
+/// break repeatably on row id.
+Result<std::vector<IdRow>> ComputeOrderByRows(const PlanNode& n,
+                                              std::vector<IdRow> input,
+                                              const EvalContext& ctx);
+
 /// Values kernel (n is a kValues node): materializes the inline rows with
-/// ids derived from (node_tag, index). Shared by the row and batch engines.
+/// ids derived from (node_tag, index).
 Result<std::vector<IdRow>> ComputeValuesRows(const PlanNode& n);
 
 }  // namespace dvs

@@ -13,7 +13,7 @@
 // than the scalar engine would (it sweeps column-at-a-time). Callers in
 // batch_exec therefore treat any EvalColumn error as "redo this batch
 // row-wise through the scalar Eval" — errors are rare, so the redo cost is
-// noise, and the surfaced error is always identical to the row engine's.
+// noise, and the surfaced error is always identical to the scalar path's.
 
 #ifndef DVS_EXEC_VECTOR_EVAL_H_
 #define DVS_EXEC_VECTOR_EVAL_H_

@@ -14,74 +14,37 @@ namespace dvs {
 namespace {
 
 /// Batch-engine snapshot of a subplan at one interval endpoint, memoized in
-/// the DeltaContext's BatchMemo. Returns nullptr when the batch engine
-/// declined (plan not batch-safe, or a columnar bail-out) — callers then go
-/// through the row path. Both endpoints share the memo, so unchanged
+/// the DeltaContext's BatchMemo. Both endpoints share the memo, so unchanged
 /// micro-partitions (pointer-identical batches from the partition cache)
 /// turn the second endpoint's joins into probe-cache hits.
+///
+/// Note on cost accounting: materialization itself is *not* charged to
+/// rows_processed. The work metric models a pruning engine (Snowflake
+/// prunes snapshot scans via partition metadata and row-id prefixes,
+/// §5.5.2); each delta rule charges the rows it actually consumes after
+/// restriction, plus its output.
 Result<const BatchVector*> SnapshotBatches(const PlanNode& n,
                                            const DeltaContext& ctx,
                                            bool at_end) {
   auto& cache = ctx.memo.snapshots[at_end ? 1 : 0];
   auto it = cache.find(&n);
   if (it != cache.end()) return &it->second;
-  if (!PlanBatchSafe(n)) return static_cast<const BatchVector*>(nullptr);
-  BatchExecEnv env;
-  env.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
-  env.resolve_scan_batches =
-      at_end ? ctx.batch_resolve_at_end : ctx.batch_resolve_at_start;
-  env.eval = at_end ? ctx.eval_end : ctx.eval_start;
-  env.memo = &ctx.memo;
-  // A bailed snapshot reruns through the row path, so the profile charges
-  // fresh: the batch attempt writes a scratch sink, merged only on success.
-  obs::ProfileSink scratch;
-  if (ctx.profile != nullptr) env.profile = &scratch;
-  // Materialization is not charged (see Snapshot below); env charges are
-  // discarded with the env.
-  Result<BatchVector> batches = ExecutePlanBatches(n, env);
-  if (env.bail) {
-    if (ctx.profile != nullptr) {
-      ctx.profile->Node(n.node_tag)->vector_bails += 1;
-    }
-    return static_cast<const BatchVector*>(nullptr);
-  }
-  if (!batches.ok()) return batches.status();
-  if (ctx.profile != nullptr) ctx.profile->MergeFrom(scratch);
-  auto [ins, unused] = cache.emplace(&n, batches.take());
-  (void)unused;
-  return &ins->second;
+  ExecContext ec;
+  ec.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
+  ec.eval = at_end ? ctx.eval_end : ctx.eval_start;
+  ec.memo = &ctx.memo;
+  ec.profile = ctx.profile;
+  DVS_ASSIGN_OR_RETURN(BatchVector batches, ExecutePlanBatches(n, ec));
+  return &cache.emplace(&n, std::move(batches)).first->second;
 }
 
-/// Materializes a subplan at one end of the interval, memoized.
-///
-/// Note on cost accounting: materialization itself is *not* charged to
-/// rows_processed. The work metric models a pruning engine (Snowflake
-/// prunes snapshot scans via partition metadata and row-id prefixes,
-/// §5.5.2); each delta rule charges the rows it actually consumes after
-/// restriction, plus its output. Wall-clock cost of the interpreter is
-/// measured separately by E14.
-Result<const std::vector<IdRow>*> Snapshot(const PlanNode& n,
-                                           const DeltaContext& ctx,
-                                           bool at_end) {
-  auto& cache = at_end ? ctx.end_cache : ctx.start_cache;
-  auto it = cache.find(&n);
-  if (it != cache.end()) return &it->second;
+/// A subplan's rows at one end of the interval (for the row-at-a-time
+/// delta rules).
+Result<std::vector<IdRow>> Snapshot(const PlanNode& n, const DeltaContext& ctx,
+                                    bool at_end) {
   DVS_ASSIGN_OR_RETURN(const BatchVector* batches,
                        SnapshotBatches(n, ctx, at_end));
-  std::vector<IdRow> rows;
-  if (batches != nullptr) {
-    rows = BatchesToRows(*batches);
-  } else {
-    ExecContext ec;
-    ec.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
-    ec.eval = at_end ? ctx.eval_end : ctx.eval_start;
-    ec.force_row_path = true;  // the batch engine already declined above
-    ec.profile = ctx.profile;
-    DVS_ASSIGN_OR_RETURN(rows, ExecutePlan(n, ec));
-  }
-  auto [ins, unused] = cache.emplace(&n, std::move(rows));
-  (void)unused;
-  return &ins->second;
+  return BatchesToRows(*batches);
 }
 
 const EvalContext& CtxFor(const DeltaContext& ctx, ChangeAction action) {
@@ -155,13 +118,6 @@ Result<ChangeSet> DeltaUnionAll(const PlanNode& n, const DeltaContext& ctx) {
   return out;
 }
 
-bool KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
 Row ConcatRows(const Row& l, const Row& r) {
   Row out;
   out.reserve(l.size() + r.size());
@@ -198,10 +154,10 @@ Result<ChangeSet> DeltaInnerJoin(const PlanNode& n, const DeltaContext& ctx) {
 
   // Term 1: ΔQ ⋈ R@I1 — skip entirely when ΔQ is empty.
   if (!dq.empty()) {
-    DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* r1,
+    DVS_ASSIGN_OR_RETURN(std::vector<IdRow> r1,
                          Snapshot(*n.children[1], ctx, /*at_end=*/true));
     DVS_ASSIGN_OR_RETURN(KeyedIndex<std::vector<size_t>> table,
-                         BuildKeyedTable(n.right_keys, *r1, ctx.eval_end));
+                         BuildKeyedTable(n.right_keys, r1, ctx.eval_end));
     KeyExtractor left_del(n.left_keys, ctx.eval_start);
     KeyExtractor left_ins(n.left_keys, ctx.eval_end);
     for (const ChangeRow& c : dq) {
@@ -212,14 +168,14 @@ Result<ChangeSet> DeltaInnerJoin(const PlanNode& n, const DeltaContext& ctx) {
       auto it = table.find(key.ref());
       if (it == table.end()) continue;
       for (size_t ri : it->second) {
-        Row combined = ConcatRows(c.values, (*r1)[ri].values);
+        Row combined = ConcatRows(c.values, r1[ri].values);
         if (n.residual) {
           DVS_ASSIGN_OR_RETURN(
               bool pass,
               EvalPredicate(*n.residual, combined, CtxFor(ctx, c.action)));
           if (!pass) continue;
         }
-        out.push_back({c.action, rowid::Join(n.node_tag, c.row_id, (*r1)[ri].id),
+        out.push_back({c.action, rowid::Join(n.node_tag, c.row_id, r1[ri].id),
                        std::move(combined)});
       }
     }
@@ -227,10 +183,10 @@ Result<ChangeSet> DeltaInnerJoin(const PlanNode& n, const DeltaContext& ctx) {
 
   // Term 2: Q@I0 ⋈ ΔR.
   if (!dr.empty()) {
-    DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* q0,
+    DVS_ASSIGN_OR_RETURN(std::vector<IdRow> q0,
                          Snapshot(*n.children[0], ctx, /*at_end=*/false));
     DVS_ASSIGN_OR_RETURN(KeyedIndex<std::vector<size_t>> table,
-                         BuildKeyedTable(n.left_keys, *q0, ctx.eval_start));
+                         BuildKeyedTable(n.left_keys, q0, ctx.eval_start));
     KeyExtractor right_del(n.right_keys, ctx.eval_start);
     KeyExtractor right_ins(n.right_keys, ctx.eval_end);
     for (const ChangeRow& c : dr) {
@@ -241,14 +197,14 @@ Result<ChangeSet> DeltaInnerJoin(const PlanNode& n, const DeltaContext& ctx) {
       auto it = table.find(key.ref());
       if (it == table.end()) continue;
       for (size_t li : it->second) {
-        Row combined = ConcatRows((*q0)[li].values, c.values);
+        Row combined = ConcatRows(q0[li].values, c.values);
         if (n.residual) {
           DVS_ASSIGN_OR_RETURN(
               bool pass,
               EvalPredicate(*n.residual, combined, CtxFor(ctx, c.action)));
           if (!pass) continue;
         }
-        out.push_back({c.action, rowid::Join(n.node_tag, (*q0)[li].id, c.row_id),
+        out.push_back({c.action, rowid::Join(n.node_tag, q0[li].id, c.row_id),
                        std::move(combined)});
       }
     }
@@ -320,23 +276,23 @@ Result<ChangeSet> DeltaOuterJoin(const PlanNode& n, const DeltaContext& ctx) {
     }
   }
 
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* q0,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> q0,
                        Snapshot(*n.children[0], ctx, false));
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* r0,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> r0,
                        Snapshot(*n.children[1], ctx, false));
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* q1,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> q1,
                        Snapshot(*n.children[0], ctx, true));
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* r1,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> r1,
                        Snapshot(*n.children[1], ctx, true));
 
   Status st = OkStatus();
-  std::vector<IdRow> q0r = Restrict(*q0, n.left_keys, ctx.eval_start, left_ks, &st);
+  std::vector<IdRow> q0r = Restrict(q0, n.left_keys, ctx.eval_start, left_ks, &st);
   DVS_RETURN_IF_ERROR(st);
-  std::vector<IdRow> r0r = Restrict(*r0, n.right_keys, ctx.eval_start, right_ks, &st);
+  std::vector<IdRow> r0r = Restrict(r0, n.right_keys, ctx.eval_start, right_ks, &st);
   DVS_RETURN_IF_ERROR(st);
-  std::vector<IdRow> q1r = Restrict(*q1, n.left_keys, ctx.eval_end, left_ks, &st);
+  std::vector<IdRow> q1r = Restrict(q1, n.left_keys, ctx.eval_end, left_ks, &st);
   DVS_RETURN_IF_ERROR(st);
-  std::vector<IdRow> r1r = Restrict(*r1, n.right_keys, ctx.eval_end, right_ks, &st);
+  std::vector<IdRow> r1r = Restrict(r1, n.right_keys, ctx.eval_end, right_ks, &st);
   DVS_RETURN_IF_ERROR(st);
 
   DVS_ASSIGN_OR_RETURN(std::vector<IdRow> old_rows,
@@ -369,16 +325,16 @@ bool ExprsImmutable(const std::vector<ExprPtr>& exprs) {
 /// candidate rows materialize their key Row for the exact KeySet probe.
 /// `sel_memo` (optional) caches per-batch selections — pointer-identical
 /// snapshot batches at the other endpoint skip key evaluation entirely;
-/// only sound when the key exprs are immutable. Returns false on any
-/// vectorized key-evaluation failure; the caller redoes the restrict
-/// row-wise so the surfaced error matches the row engine's.
-bool RestrictBatches(const BatchVector& in,
-                     const std::vector<ExprPtr>& key_exprs,
-                     const EvalContext& ec, const KeySet& ks,
-                     const std::unordered_set<uint64_t>& digests,
-                     std::unordered_map<const ColumnBatch*, Sel>* sel_memo,
-                     BatchVector* out, uint64_t* member_count,
-                     obs::OpStats* prof) {
+/// only sound when the key exprs are immutable. A batch whose vectorized
+/// key evaluation fails is redone row-wise, so the surfaced error (if any)
+/// is the scalar kernels'.
+Status RestrictBatches(const BatchVector& in,
+                       const std::vector<ExprPtr>& key_exprs,
+                       const EvalContext& ec, const KeySet& ks,
+                       const std::unordered_set<uint64_t>& digests,
+                       std::unordered_map<const ColumnBatch*, Sel>* sel_memo,
+                       BatchVector* out, uint64_t* member_count,
+                       obs::OpStats* prof) {
   for (const BatchPtr& b : in) {
     Sel sel;
     const Sel* use = nullptr;
@@ -391,18 +347,29 @@ bool RestrictBatches(const BatchVector& in,
     }
     if (use == nullptr) {
       Result<BatchKeys> bk = ComputeBatchKeys(key_exprs, *b, ec);
-      if (!bk.ok()) return false;
-      const BatchKeys& k = bk.value();
-      Row scratch;
-      for (size_t r = 0; r < b->rows; ++r) {
-        bool hit = !ks.row_ids.empty() && ks.row_ids.count(b->ids[r]) > 0;
-        if (!hit && digests.count(k.digests[r]) > 0) {
-          scratch.clear();
-          for (const ColumnPtr& c : k.cols) scratch.push_back(c->GetValue(r));
-          hit = ks.keys.find(HashedKeyRef{&scratch, k.digests[r]}) !=
-                ks.keys.end();
+      if (bk.ok()) {
+        const BatchKeys& k = bk.value();
+        Row scratch;
+        for (size_t r = 0; r < b->rows; ++r) {
+          bool hit = !ks.row_ids.empty() && ks.row_ids.count(b->ids[r]) > 0;
+          if (!hit && digests.count(k.digests[r]) > 0) {
+            scratch.clear();
+            for (const ColumnPtr& c : k.cols) scratch.push_back(c->GetValue(r));
+            hit = ks.keys.find(HashedKeyRef{&scratch, k.digests[r]}) !=
+                  ks.keys.end();
+          }
+          if (hit) sel.push_back(static_cast<uint32_t>(r));
         }
-        if (hit) sel.push_back(static_cast<uint32_t>(r));
+      } else {
+        obs::ExecCounters::Instance().row_redos += 1;
+        if (prof != nullptr) prof->row_redos += 1;
+        KeyExtractor key(key_exprs, ec);
+        for (size_t r = 0; r < b->rows; ++r) {
+          DVS_RETURN_IF_ERROR(key.Extract(MaterializeRow(*b, r)));
+          if (ks.Contains(key.ref(), b->ids[r])) {
+            sel.push_back(static_cast<uint32_t>(r));
+          }
+        }
       }
       if (sel_memo != nullptr) {
         use = &sel_memo->emplace(b.get(), std::move(sel)).first->second;
@@ -418,105 +385,61 @@ bool RestrictBatches(const BatchVector& in,
       out->push_back(GatherBatch(b, *use));
     }
   }
-  return true;
+  return OkStatus();
 }
 
 // Δ(γ), recompute form: re-aggregates the members of the groups in `ks`
 // (every member when `ks` is null: scalar aggregation, whose single global
 // row is affected whenever the input delta is non-empty) at both endpoints,
 // emitting the old rows as deletes and the new rows as inserts.
-//
-// When batch snapshots are available the restrict + recompute runs
-// columnarly (identical results, ids, and rows_processed); otherwise — and
-// on any vectorized evaluation failure — the row path below runs unchanged.
 Status RecomputeGroups(const PlanNode& n, const KeySet* ks,
                        const DeltaContext& ctx, ChangeSet* out) {
   DVS_ASSIGN_OR_RETURN(const BatchVector* b0,
                        SnapshotBatches(*n.children[0], ctx, false));
-  const BatchVector* b1 = nullptr;
-  if (b0 != nullptr) {
-    Result<const BatchVector*> r1 = SnapshotBatches(*n.children[0], ctx, true);
-    if (!r1.ok()) return r1.status();
-    b1 = r1.value();
-  }
-  const bool force = ks == nullptr;
-  auto emit = [out](std::vector<IdRow> old_rows, std::vector<IdRow> new_rows) {
-    out->reserve(out->size() + old_rows.size() + new_rows.size());
-    for (IdRow& r : old_rows) {
-      out->push_back({ChangeAction::kDelete, r.id, std::move(r.values)});
-    }
-    for (IdRow& r : new_rows) {
-      out->push_back({ChangeAction::kInsert, r.id, std::move(r.values)});
-    }
-  };
-
-  if (b0 != nullptr && b1 != nullptr) {
-    BatchVector old_members, new_members;
-    uint64_t old_count = 0, new_count = 0;
-    bool restricted = true;
-    if (ks == nullptr) {
-      old_members = *b0;
-      new_members = *b1;
-      old_count = BatchRowCount(old_members);
-      new_count = BatchRowCount(new_members);
-    } else {
-      std::unordered_set<uint64_t> digests;
-      digests.reserve(ks->keys.size());
-      for (const HashedKey& k : ks->keys) digests.insert(k.digest);
-      std::unordered_map<const ColumnBatch*, Sel> sel_memo;
-      std::unordered_map<const ColumnBatch*, Sel>* memo =
-          ExprsImmutable(n.group_by) ? &sel_memo : nullptr;
-      obs::OpStats* prof =
-          ctx.profile != nullptr ? ctx.profile->Node(n.node_tag) : nullptr;
-      restricted =
-          RestrictBatches(*b0, n.group_by, ctx.eval_start, *ks, digests, memo,
-                          &old_members, &old_count, prof) &&
-          RestrictBatches(*b1, n.group_by, ctx.eval_end, *ks, digests, memo,
-                          &new_members, &new_count, prof);
-    }
-    if (restricted) {
-      BatchExecEnv env0, env1;
-      env0.eval = ctx.eval_start;
-      env1.eval = ctx.eval_end;
-      env0.profile = ctx.profile;
-      env1.profile = ctx.profile;
-      DVS_ASSIGN_OR_RETURN(
-          BatchVector oldb, ComputeAggregateBatches(n, old_members, env0, force));
-      DVS_ASSIGN_OR_RETURN(
-          BatchVector newb, ComputeAggregateBatches(n, new_members, env1, force));
-      if (!env0.bail && !env1.bail) {
-        emit(BatchesToRows(oldb), BatchesToRows(newb));
-        ctx.rows_processed += old_count + new_count;
-        return OkStatus();
-      }
-    }
-  }
-
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in0,
-                       Snapshot(*n.children[0], ctx, false));
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in1,
-                       Snapshot(*n.children[0], ctx, true));
-
-  std::vector<IdRow> old_members, new_members;
+  DVS_ASSIGN_OR_RETURN(const BatchVector* b1,
+                       SnapshotBatches(*n.children[0], ctx, true));
+  BatchVector old_members, new_members;
+  uint64_t old_count = 0, new_count = 0;
   if (ks == nullptr) {
-    old_members = *in0;
-    new_members = *in1;
+    old_members = *b0;
+    new_members = *b1;
+    old_count = BatchRowCount(old_members);
+    new_count = BatchRowCount(new_members);
   } else {
-    Status st = OkStatus();
-    old_members = Restrict(*in0, n.group_by, ctx.eval_start, *ks, &st);
-    DVS_RETURN_IF_ERROR(st);
-    new_members = Restrict(*in1, n.group_by, ctx.eval_end, *ks, &st);
-    DVS_RETURN_IF_ERROR(st);
+    std::unordered_set<uint64_t> digests;
+    digests.reserve(ks->keys.size());
+    for (const HashedKey& k : ks->keys) digests.insert(k.digest);
+    std::unordered_map<const ColumnBatch*, Sel> sel_memo;
+    std::unordered_map<const ColumnBatch*, Sel>* memo =
+        ExprsImmutable(n.group_by) ? &sel_memo : nullptr;
+    obs::OpStats* prof =
+        ctx.profile != nullptr ? ctx.profile->Node(n.node_tag) : nullptr;
+    DVS_RETURN_IF_ERROR(RestrictBatches(*b0, n.group_by, ctx.eval_start, *ks,
+                                        digests, memo, &old_members,
+                                        &old_count, prof));
+    DVS_RETURN_IF_ERROR(RestrictBatches(*b1, n.group_by, ctx.eval_end, *ks,
+                                        digests, memo, &new_members,
+                                        &new_count, prof));
   }
-
   // Scalar aggregation always emits one row, even on empty input; for
   // grouped aggregation, groups with no surviving members disappear.
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> old_rows,
-                       ComputeAggregateRows(n, old_members, ctx.eval_start, force));
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> new_rows,
-                       ComputeAggregateRows(n, new_members, ctx.eval_end, force));
-  emit(std::move(old_rows), std::move(new_rows));
-  ctx.rows_processed += old_members.size() + new_members.size();
+  const bool force = ks == nullptr;
+  ExecContext ec0, ec1;
+  ec0.eval = ctx.eval_start;
+  ec1.eval = ctx.eval_end;
+  ec0.profile = ctx.profile;
+  ec1.profile = ctx.profile;
+  DVS_ASSIGN_OR_RETURN(BatchVector old_rows,
+                       ComputeAggregateBatches(n, old_members, ec0, force));
+  DVS_ASSIGN_OR_RETURN(BatchVector new_rows,
+                       ComputeAggregateBatches(n, new_members, ec1, force));
+  for (IdRow& r : BatchesToRows(old_rows)) {
+    out->push_back({ChangeAction::kDelete, r.id, std::move(r.values)});
+  }
+  for (IdRow& r : BatchesToRows(new_rows)) {
+    out->push_back({ChangeAction::kInsert, r.id, std::move(r.values)});
+  }
+  ctx.rows_processed += old_count + new_count;
   return OkStatus();
 }
 
@@ -811,21 +734,21 @@ Result<ChangeSet> DeltaDistinct(const PlanNode& n, const DeltaContext& ctx) {
   affected.reserve(din.size());
   for (const ChangeRow& c : din) affected.insert(HashedKey(c.values));
 
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in0,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in0,
                        Snapshot(*n.children[0], ctx, false));
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in1,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in1,
                        Snapshot(*n.children[0], ctx, true));
 
   // Presence checks are digest probes; emit sorted by value so the change
   // order stays deterministic (the std::set order this replaced).
   KeyedSet old_present, new_present;
-  for (const IdRow& r : *in0) {
+  for (const IdRow& r : in0) {
     HashedKeyRef probe{&r.values, HashRow(r.values)};
     if (affected.find(probe) != affected.end()) {
       old_present.insert(HashedKey(r.values, probe.digest));
     }
   }
-  for (const IdRow& r : *in1) {
+  for (const IdRow& r : in1) {
     HashedKeyRef probe{&r.values, HashRow(r.values)};
     if (affected.find(probe) != affected.end()) {
       new_present.insert(HashedKey(r.values, probe.digest));
@@ -871,16 +794,16 @@ Result<ChangeSet> DeltaWindow(const PlanNode& n, const DeltaContext& ctx) {
     }
   }
 
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in0,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in0,
                        Snapshot(*n.children[0], ctx, false));
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in1,
+  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in1,
                        Snapshot(*n.children[0], ctx, true));
   Status st = OkStatus();
   std::vector<IdRow> old_members =
-      Restrict(*in0, n.partition_by, ctx.eval_start, ks, &st);
+      Restrict(in0, n.partition_by, ctx.eval_start, ks, &st);
   DVS_RETURN_IF_ERROR(st);
   std::vector<IdRow> new_members =
-      Restrict(*in1, n.partition_by, ctx.eval_end, ks, &st);
+      Restrict(in1, n.partition_by, ctx.eval_end, ks, &st);
   DVS_RETURN_IF_ERROR(st);
 
   DVS_ASSIGN_OR_RETURN(std::vector<IdRow> old_rows,
@@ -918,8 +841,13 @@ Result<ChangeSet> Delta(const PlanNode& n, const DeltaContext& ctx) {
 
 Result<ChangeSet> DeltaImpl(const PlanNode& n, const DeltaContext& ctx) {
   switch (n.kind) {
-    case PlanKind::kScan:
-      return ctx.resolve_delta(n.table_id);
+    case PlanKind::kScan: {
+      DVS_ASSIGN_OR_RETURN(ChangeSet changes, ctx.resolve_delta(n.table_id));
+      for (const ChangeRow& c : changes) {
+        DVS_RETURN_IF_ERROR(CheckSourceWidth(n, c.values.size()));
+      }
+      return changes;
+    }
     case PlanKind::kFilter:
       return DeltaFilter(n, ctx);
     case PlanKind::kProject:

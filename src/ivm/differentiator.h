@@ -46,29 +46,23 @@ using DeltaResolver = std::function<Result<ChangeSet>(ObjectId table_id)>;
 
 /// Everything the differentiator needs about the interval I = [start, end].
 struct DeltaContext {
-  ScanResolver resolve_at_start;  ///< Source snapshots as of I0.
-  ScanResolver resolve_at_end;    ///< Source snapshots as of I1.
+  /// Source snapshots as of I0 and I1. An incremental refresh gives both
+  /// one partition cache: micro-partitions unchanged over the interval
+  /// resolve to pointer-identical batches at both endpoints, so the
+  /// memoized join/restrict caches carry across ends.
+  ScanResolver resolve_at_start;
+  ScanResolver resolve_at_end;
   DeltaResolver resolve_delta;    ///< Source changes over (I0, I1].
   EvalContext eval_start;         ///< Context functions as of I0 (deletes).
   EvalContext eval_end;           ///< Context functions as of I1 (inserts).
-
-  /// Optional columnar snapshot sources (storage/batch_scan.h). When set,
-  /// batch-safe subplan snapshots run on the batch engine; unchanged
-  /// micro-partitions resolve to pointer-identical batches at both
-  /// endpoints, so the memoized join/restrict caches carry across ends.
-  BatchScanResolver batch_resolve_at_start;
-  BatchScanResolver batch_resolve_at_end;
 
   /// Work accounting for the cost model: rows materialized or emitted, and
   /// stored rows read.
   mutable uint64_t rows_processed = 0;
 
-  /// Per-node snapshot memoization — without it, a depth-d join tree would
+  /// Snapshot memoization plus the batch engine's caches, shared across
+  /// both endpoints of this refresh — without it, a depth-d join tree would
   /// re-execute subtrees O(2^d) times.
-  mutable std::unordered_map<const PlanNode*, std::vector<IdRow>> start_cache;
-  mutable std::unordered_map<const PlanNode*, std::vector<IdRow>> end_cache;
-
-  /// Batch-engine caches shared across both endpoints of this refresh.
   mutable BatchMemo memo;
 
   /// Optional read of the DT's stored state: the row with this id in the

@@ -437,8 +437,6 @@ EngineMetrics::EngineMetrics(DvsEngine* engine, Registry* registry)
        &ExecCounters::batch_cache_hits},
       {"storage.batch_cache.misses", "Partition->batch conversions",
        &ExecCounters::batch_cache_misses},
-      {"exec.vector_bails", "Columnar bail-outs to the row engine",
-       &ExecCounters::vector_bails},
       {"exec.row_redos", "Row-wise redo fallbacks after vector-eval errors",
        &ExecCounters::row_redos},
   };

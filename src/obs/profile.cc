@@ -42,32 +42,12 @@ void ExecCounters::ResetAll() {
   join_cache_misses.Reset();
   batch_cache_hits.Reset();
   batch_cache_misses.Reset();
-  vector_bails.Reset();
   row_redos.Reset();
 }
 
 ExecCounters& ExecCounters::Instance() {
   static ExecCounters counters;
   return counters;
-}
-
-// ---- OpStats ----
-
-void OpStats::Merge(const OpStats& other) {
-  rows_out += other.rows_out;
-  batches += other.batches;
-  join_build_hits += other.join_build_hits;
-  join_build_misses += other.join_build_misses;
-  join_probe_hits += other.join_probe_hits;
-  join_probe_misses += other.join_probe_misses;
-  batch_cache_hits += other.batch_cache_hits;
-  batch_cache_misses += other.batch_cache_misses;
-  sel_memo_hits += other.sel_memo_hits;
-  vector_bails += other.vector_bails;
-  row_redos += other.row_redos;
-  state_groups += other.state_groups;
-  recomputed_groups += other.recomputed_groups;
-  wall_ns += other.wall_ns;
 }
 
 // ---- ProfileSink ----
@@ -105,12 +85,6 @@ uint64_t ProfileSink::RowsInOf(size_t op_index) const {
     if (const OpStats* s = Find(entries_[i].tag)) in += s->rows_out;
   }
   return in;
-}
-
-void ProfileSink::MergeFrom(const ProfileSink& other) {
-  // Stats only: scratch sinks (batch attempts) never declare structure, the
-  // destination sink already has it.
-  for (const auto& [tag, s] : other.stats_) Node(tag)->Merge(s);
 }
 
 std::string ProfileSink::Render(bool include_wall) const {

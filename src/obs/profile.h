@@ -3,11 +3,15 @@
 //
 // A ProfileSink mirrors one plan execution as a tree of per-operator
 // counters, keyed by PlanNode::node_tag (stable across rebinds because the
-// binder canonicalizes tags by DFS position). Both engines feed the same
-// sink: the row interpreter's Exec wrapper, the batch engine's ExecB
-// dispatcher, and the differentiator's snapshot/restrict/delta paths all
+// binder canonicalizes tags by DFS position). The batch engine's ExecB
+// dispatcher and the differentiator's snapshot/restrict/delta paths both
 // attribute work to the node they are executing, so a profile of an
 // incremental refresh shows exactly where rows and cache hits went.
+//
+// Hooks write straight into the sink as each operator finishes. A plan
+// execution that fails therefore leaves the counts of the operators that
+// finished before the error (a failed refresh's REFRESH_PROFILE row shows
+// how far it got); the failing operator and its ancestors add nothing.
 //
 // Determinism contract (PR 9): every OpStats field except wall_ns derives
 // only from virtual-time work and is byte-identical across scheduler worker
@@ -20,7 +24,7 @@
 // ScopedProfiling. RefreshEngine allocates a RefreshProfile per attempt only
 // while armed; a disarmed refresh pays one relaxed atomic load, and a
 // disarmed hook site inside the engines pays one null-pointer check (the
-// sink pointer in ExecContext / BatchExecEnv / DeltaContext stays null).
+// sink pointer in ExecContext / DeltaContext stays null).
 // EXPLAIN ANALYZE arms per-execution by passing its own sink, independent of
 // the global flag.
 //
@@ -59,7 +63,6 @@ struct ExecCounters {
   Counter join_cache_misses;   ///< exec.join_cache.misses.
   Counter batch_cache_hits;    ///< storage.batch_cache.hits (per partition).
   Counter batch_cache_misses;  ///< storage.batch_cache.misses.
-  Counter vector_bails;        ///< exec.vector_bails (columnar bail-outs).
   Counter row_redos;           ///< exec.row_redos (row-wise redo fallbacks).
 
   /// Zeroes every counter (bench runs isolating per-run totals).
@@ -74,7 +77,7 @@ struct ExecCounters {
 /// wall_ns are deterministic (worker-count-invariant).
 struct OpStats {
   uint64_t rows_out = 0;           ///< Rows emitted by this operator.
-  uint64_t batches = 0;            ///< Column batches emitted (0 on row path).
+  uint64_t batches = 0;            ///< Column batches emitted.
   uint64_t join_build_hits = 0;    ///< BatchJoinCache build-side reuses.
   uint64_t join_build_misses = 0;  ///< Build-side (re)constructions.
   uint64_t join_probe_hits = 0;    ///< Cached per-left-batch join outputs.
@@ -82,13 +85,12 @@ struct OpStats {
   uint64_t batch_cache_hits = 0;   ///< PartitionBatchCache hits (scans).
   uint64_t batch_cache_misses = 0; ///< Partition->batch conversions.
   uint64_t sel_memo_hits = 0;      ///< Differentiator restrict-memo hits.
-  uint64_t vector_bails = 0;       ///< Columnar bail-outs at this node.
+  uint64_t vector_bails = 0;       ///< Always 0: there is no row engine to
+                                   ///< bail to (kept for REFRESH_PROFILE).
   uint64_t row_redos = 0;          ///< Row-wise redo fallbacks at this node.
   uint64_t state_groups = 0;       ///< Aggregate groups kept from DT state.
   uint64_t recomputed_groups = 0;  ///< Aggregate groups recomputed.
   uint64_t wall_ns = 0;  ///< Wall time, inclusive of children. REPORT ONLY.
-
-  void Merge(const OpStats& other);
 };
 
 /// Collects per-operator stats for one plan execution. DeclarePlan records
@@ -117,14 +119,8 @@ class ProfileSink {
   const OpStats* Find(uint64_t tag) const;
 
   /// Rows entering operator `op_index` = sum of its children's rows_out
-  /// (derived, not collected — identical for both engines by the
-  /// rows_processed equivalence contract).
+  /// (derived, not collected).
   uint64_t RowsInOf(size_t op_index) const;
-
-  /// Folds another sink's counters in (tag-wise). Used by ExecutePlan to
-  /// discard a bailed batch attempt's partial counts atomically: the batch
-  /// engine writes a scratch sink, merged only on success.
-  void MergeFrom(const ProfileSink& other);
 
   /// Indented per-operator text. `include_wall` appends wall_ms per line;
   /// RenderDeterministic() (include_wall=false) is the byte-compare form.

@@ -21,7 +21,6 @@
 //   refresh / change_scan      — the source change scans of one
 //                                incremental refresh (scope = DT name,
 //                                args rows returned).
-//   exec    / op.<PlanKind>    — one per batch-engine operator execution.
 //   serve   / query            — one per QueryService::Execute.
 //   persist / wal.append, checkpoint — durability I/O.
 //

@@ -1,8 +1,9 @@
 // Columnar batch engine tests: ColumnBatch invariants (null bitmap, lane
 // demotion, string interning), vectorized-vs-scalar evaluation parity, key
 // digest compatibility with HashRow, and randomized whole-plan equivalence
-// against the row engine (force_row_path) as the oracle — results, row ids,
-// emission order, and the rows_processed work metric must all match.
+// against the row-at-a-time reference (reference_exec.h) as the oracle —
+// results, row ids, emission order, error text and the rows_processed work
+// metric must all match.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "exec/batch_exec.h"
 #include "exec/vector_eval.h"
 #include "plan/logical_plan.h"
+#include "reference_exec.h"
 
 namespace dvs {
 namespace {
@@ -19,6 +21,37 @@ std::vector<IdRow> MakeIdRows(std::vector<Row> rows) {
   RowId id = 1;
   for (Row& r : rows) out.push_back({id++, std::move(r)});
   return out;
+}
+
+/// Runs `plan` on the batch engine and on the reference over the same
+/// sources, and checks they agree exactly: status text, rows, row ids and
+/// rows_processed.
+void ExpectMatchesReference(
+    const PlanNode& plan,
+    const std::function<const std::vector<IdRow>&(ObjectId)>& source,
+    const std::string& label) {
+  ExecContext ctx;
+  ctx.resolve_scan = [&](ObjectId id) -> Result<BatchVector> {
+    return RowsToBatches(source(id));
+  };
+  reference::Context ref;
+  ref.scan = [&](ObjectId id) -> Result<std::vector<IdRow>> {
+    return source(id);
+  };
+  auto b = ExecutePlan(plan, ctx);
+  auto r = reference::Execute(plan, &ref);
+  ASSERT_EQ(b.ok(), r.ok()) << label;
+  if (!b.ok()) {
+    EXPECT_EQ(b.status().ToString(), r.status().ToString()) << label;
+    return;
+  }
+  ASSERT_EQ(b.value().size(), r.value().size()) << label;
+  for (size_t i = 0; i < b.value().size(); ++i) {
+    EXPECT_EQ(b.value()[i].id, r.value()[i].id) << label << " row " << i;
+    EXPECT_TRUE(RowsEqual(b.value()[i].values, r.value()[i].values))
+        << label << " row " << i;
+  }
+  EXPECT_EQ(ctx.rows_processed, ref.rows_processed) << label;
 }
 
 // ---- Null bitmap ----
@@ -119,7 +152,7 @@ TEST(ColumnBatchTest, GatherInternsStringsIntoDestinationArena) {
 TEST(BatchExecTest, FilterCompactsAcrossBatchBoundaries) {
   // 2.5 batches worth of rows; keep every third row via IN. Compaction must
   // keep ids aligned with values across batch boundaries, and the batch
-  // engine's work accounting must equal the row engine's.
+  // engine's work accounting must equal the reference's.
   const size_t n = 2 * kBatchSize + kBatchSize / 2;
   std::vector<Row> rows;
   for (size_t i = 0; i < n; ++i) {
@@ -138,24 +171,16 @@ TEST(BatchExecTest, FilterCompactsAcrossBatchBoundaries) {
                Schema({{"i", DataType::kInt64}, {"s", DataType::kString}})),
       InList(std::move(in_children)));
 
-  ExecContext batch_ctx;
-  batch_ctx.resolve_scan = [&](ObjectId) -> Result<std::vector<IdRow>> {
-    return input;
+  ExecContext ctx;
+  ctx.resolve_scan = [&](ObjectId) -> Result<BatchVector> {
+    return RowsToBatches(input);
   };
-  ExecContext row_ctx = batch_ctx;
-  row_ctx.force_row_path = true;
-
-  auto b = ExecutePlan(*plan, batch_ctx);
-  auto r = ExecutePlan(*plan, row_ctx);
+  auto b = ExecutePlan(*plan, ctx);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(b.value().size(), (n + 2) / 3);
-  ASSERT_EQ(b.value().size(), r.value().size());
-  for (size_t i = 0; i < b.value().size(); ++i) {
-    EXPECT_EQ(b.value()[i].id, r.value()[i].id);
-    EXPECT_TRUE(RowsEqual(b.value()[i].values, r.value()[i].values));
-  }
-  EXPECT_EQ(batch_ctx.rows_processed, row_ctx.rows_processed);
+  ExpectMatchesReference(
+      *plan, [&](ObjectId) -> const std::vector<IdRow>& { return input; },
+      "filter");
 }
 
 // ---- Digest compatibility ----
@@ -190,7 +215,7 @@ TEST(BatchKeysTest, DigestsMatchHashRowExactly) {
   }
 }
 
-// ---- Randomized whole-plan equivalence (row engine as oracle) ----
+// ---- Randomized whole-plan equivalence (row reference as oracle) ----
 
 Row RandomRow(Rng* rng) {
   // k: small-domain int (join/group key), occasionally null; v: mixed
@@ -280,44 +305,109 @@ TEST(BatchExecTest, RandomPlansMatchRowEngineExactly) {
 
       PlanPtr plan = CanonicalizePlanTags(EquivalenceShape(shape, schema));
       ASSERT_NE(plan, nullptr);
-      ASSERT_TRUE(PlanBatchSafe(*plan)) << "shape " << shape;
-
-      ExecContext batch_ctx;
-      batch_ctx.resolve_scan = [&](ObjectId id) -> Result<std::vector<IdRow>> {
-        return id == 1 ? ia : ib;
-      };
-      ExecContext row_ctx = batch_ctx;
-      row_ctx.force_row_path = true;
-
-      auto b = ExecutePlan(*plan, batch_ctx);
-      auto r = ExecutePlan(*plan, row_ctx);
-      ASSERT_EQ(b.ok(), r.ok()) << "seed " << seed << " shape " << shape;
-      if (!b.ok()) {
-        EXPECT_EQ(b.status().ToString(), r.status().ToString());
-        continue;
-      }
-      ASSERT_EQ(b.value().size(), r.value().size())
-          << "seed " << seed << " shape " << shape;
-      for (size_t i = 0; i < b.value().size(); ++i) {
-        EXPECT_EQ(b.value()[i].id, r.value()[i].id)
-            << "seed " << seed << " shape " << shape << " row " << i;
-        EXPECT_TRUE(RowsEqual(b.value()[i].values, r.value()[i].values))
-            << "seed " << seed << " shape " << shape << " row " << i;
-      }
-      EXPECT_EQ(batch_ctx.rows_processed, row_ctx.rows_processed)
-          << "seed " << seed << " shape " << shape;
+      ExpectMatchesReference(
+          *plan,
+          [&](ObjectId id) -> const std::vector<IdRow>& {
+            return id == 1 ? ia : ib;
+          },
+          "seed " + std::to_string(seed) + " shape " + std::to_string(shape));
     }
   }
 }
 
-TEST(BatchExecTest, VolatilePlansRouteToRowPath) {
-  // RANDOM() draws from the eval context's rng in row-evaluation order;
-  // vectorized evaluation would reorder the draws, so such plans must be
-  // declared batch-unsafe.
-  PlanPtr plan =
-      MakeProject(MakeScan(1, "t", Schema({{"k", DataType::kInt64}})),
-                  {ColRef(0), Func("random", {})}, {"k", "r"});
-  EXPECT_FALSE(PlanBatchSafe(*plan));
+TEST(BatchExecTest, PresentationOperatorsMatchReference) {
+  // ORDER BY, LIMIT and FLATTEN run as row kernels (LIMIT directly on
+  // batches) inside the batch dispatch; a limit that ends inside the second
+  // of three input batches cuts one batch short.
+  const size_t n = 2 * kBatchSize + 100;
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t k = static_cast<int64_t>((i * 7919) % 101);
+    rows.push_back({Value::Int(k),
+                    i % 5 == 0 ? Value::Null()
+                               : Value::MakeArray({Value::Int(k),
+                                                   Value::String("e")})});
+  }
+  std::vector<IdRow> input = MakeIdRows(std::move(rows));
+  const Schema schema({{"k", DataType::kInt64}, {"a", DataType::kArray}});
+  auto source = [&](ObjectId) -> const std::vector<IdRow>& { return input; };
+  for (int64_t limit : {int64_t{0}, int64_t{5},
+                        static_cast<int64_t>(kBatchSize) + 7,
+                        static_cast<int64_t>(n) + 1, int64_t{-1}}) {
+    PlanPtr plan = CanonicalizePlanTags(
+        MakeLimit(MakeOrderBy(MakeScan(1, "t", schema), {{ColRef(0), false}}),
+                  limit));
+    ExpectMatchesReference(*plan, source,
+                           "order by + limit " + std::to_string(limit));
+    PlanPtr unsorted =
+        CanonicalizePlanTags(MakeLimit(MakeScan(1, "t", schema), limit));
+    ExpectMatchesReference(*unsorted, source,
+                           "limit " + std::to_string(limit));
+  }
+  PlanPtr flatten =
+      CanonicalizePlanTags(MakeFlatten(MakeScan(1, "t", schema), ColRef(1)));
+  ExpectMatchesReference(*flatten, source, "flatten");
+  // FLATTEN over a non-array value fails the same way in both.
+  PlanPtr bad =
+      CanonicalizePlanTags(MakeFlatten(MakeScan(1, "t", schema), ColRef(0)));
+  ExpectMatchesReference(*bad, source, "flatten error");
+}
+
+TEST(BatchExecTest, VolatileFunctionsFailWithoutEntropy) {
+  // No execution context carries an entropy source, so RANDOM() fails: the
+  // vectorized evaluation errors, the row-wise redo surfaces the scalar
+  // error, exactly as the reference does. Over no rows nothing evaluates.
+  const Schema schema({{"k", DataType::kInt64}});
+  PlanPtr plan = CanonicalizePlanTags(MakeProject(
+      MakeScan(1, "t", schema), {ColRef(0), Func("random", {})}, {"k", "r"}));
+  std::vector<IdRow> rows = MakeIdRows({{Value::Int(1)}, {Value::Int(2)}});
+  ExecContext ctx;
+  ctx.resolve_scan = [&](ObjectId) -> Result<BatchVector> {
+    return RowsToBatches(rows);
+  };
+  auto out = ExecutePlan(*plan, ctx);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kUserError);
+  EXPECT_NE(out.status().message().find("no entropy source"),
+            std::string::npos)
+      << out.status().ToString();
+  ExpectMatchesReference(
+      *plan, [&](ObjectId) -> const std::vector<IdRow>& { return rows; },
+      "random()");
+  const std::vector<IdRow> empty;
+  ExpectMatchesReference(
+      *plan, [&](ObjectId) -> const std::vector<IdRow>& { return empty; },
+      "random() over no rows");
+}
+
+TEST(BatchExecTest, SourceRowsOfTheWrongWidthFail) {
+  // A scan batch (or VALUES row) whose width is not the node's schema width
+  // fails with a Status before any kernel reads it.
+  const Schema schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+  PlanPtr plan = CanonicalizePlanTags(MakeJoin(
+      JoinType::kInner, MakeScan(1, "a", schema), MakeScan(2, "b", schema),
+      {ColRef(0)}, {ColRef(0)}));
+  std::vector<IdRow> good = MakeIdRows({{Value::Int(1), Value::Int(2)}});
+  for (Row ragged : {Row{Value::Int(1)},
+                     Row{Value::Int(1), Value::Int(2), Value::Int(3)}}) {
+    ExecContext ctx;
+    ctx.resolve_scan = [&](ObjectId id) -> Result<BatchVector> {
+      BatchVector out = RowsToBatches(good);
+      if (id == 2) out.push_back(RowsToBatches({IdRow{99, ragged}})[0]);
+      return out;
+    };
+    auto out = ExecutePlan(*plan, ctx);
+    ASSERT_FALSE(out.ok()) << ragged.size();
+    EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(out.status().message().find("Scan b"), std::string::npos)
+        << out.status().ToString();
+  }
+  PlanPtr values = MakeValues(schema, {{Value::Int(1), Value::Int(2)},
+                                       {Value::Int(3)}});
+  ExecContext ctx;
+  auto out = ExecutePlan(*values, ctx);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -193,6 +193,54 @@ TEST_F(EngineTest, VolatileFunctionForcesFull) {
   EXPECT_FALSE(Meta("dt").incremental);
 }
 
+TEST_F(EngineTest, RandomWithoutEntropySourceIsUserError) {
+  // No engine context carries an entropy source: over rows, random() fails
+  // with a user error (over an empty table nothing evaluates it).
+  Exec("CREATE TABLE t (v INT)");
+  Exec("INSERT INTO t VALUES (1), (2)");
+  auto r = engine_.Query("SELECT v, random() FROM t");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUserError);
+  EXPECT_NE(r.status().message().find("no entropy source"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(EngineTest, RaggedStorageRowsFailWithStatus) {
+  // INSERT validates row width; the storage API does not. A row written
+  // past the schema that way fails every read of the table with a Status:
+  // an ad hoc SELECT, DELETE and UPDATE, a FULL refresh and an INCREMENTAL
+  // refresh.
+  Exec("CREATE TABLE src (k INT, v INT)");
+  Exec("INSERT INTO src VALUES (1, 10)");
+  Exec("CREATE DYNAMIC TABLE inc TARGET_LAG = '1 minute' WAREHOUSE = wh "
+       "REFRESH_MODE = INCREMENTAL AS SELECT k, v FROM src WHERE v > 5");
+  Exec("CREATE DYNAMIC TABLE full_dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+       "REFRESH_MODE = FULL AS SELECT k, sum(v) AS s FROM src GROUP BY ALL");
+  VersionedTable& src = *engine_.catalog().Find("src").value()->storage;
+  for (Row ragged : {Row{Value::Int(2)},
+                     Row{Value::Int(3), Value::Int(30), Value::Int(300)}}) {
+    clock_.Advance(kMicrosPerMinute);
+    ASSERT_TRUE(src.ApplyChanges(src.MakeInsertChanges({ragged}),
+                                 engine_.txn().NextCommitTimestamp())
+                    .ok());
+    for (const char* sql : {"SELECT * FROM src", "DELETE FROM src WHERE v > 99",
+                            "UPDATE src SET v = 1 WHERE k > 1"}) {
+      auto r = engine_.Execute(sql);
+      ASSERT_FALSE(r.ok()) << sql << " " << ragged.size();
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << sql;
+    }
+    clock_.Advance(kMicrosPerMinute);
+    for (const char* dt : {"inc", "full_dt"}) {
+      auto r = engine_.refresh_engine().Refresh(
+          engine_.ObjectIdOf(dt).value(), clock_.Now());
+      ASSERT_FALSE(r.ok()) << dt << " " << ragged.size();
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+          << r.status().ToString();
+    }
+  }
+  EXPECT_TRUE(Meta("inc").incremental);
+}
+
 TEST_F(EngineTest, CurrentTimestampEvaluatesToDataTimestamp) {
   Exec("CREATE TABLE src (v INT)");
   Exec("INSERT INTO src VALUES (1)");

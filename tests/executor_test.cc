@@ -30,10 +30,10 @@ class TestDb {
 
   ExecContext Ctx() const {
     ExecContext ctx;
-    ctx.resolve_scan = [this](ObjectId id) -> Result<std::vector<IdRow>> {
+    ctx.resolve_scan = [this](ObjectId id) -> Result<BatchVector> {
       auto it = tables_.find(id);
       if (it == tables_.end()) return NotFound("no table");
-      return it->second.rows;
+      return RowsToBatches(it->second.rows);
     };
     return ctx;
   }

@@ -120,11 +120,11 @@ DeltaContext SourceContext(const RandomSource& a, const RandomSource& b) {
   const RandomSource* pa = &a;
   const RandomSource* pb = &b;
   DeltaContext ctx;
-  ctx.resolve_at_start = [pa, pb](ObjectId id) -> Result<std::vector<IdRow>> {
-    return id == 1 ? pa->start() : pb->start();
+  ctx.resolve_at_start = [pa, pb](ObjectId id) -> Result<BatchVector> {
+    return RowsToBatches(id == 1 ? pa->start() : pb->start());
   };
-  ctx.resolve_at_end = [pa, pb](ObjectId id) -> Result<std::vector<IdRow>> {
-    return id == 1 ? pa->end() : pb->end();
+  ctx.resolve_at_end = [pa, pb](ObjectId id) -> Result<BatchVector> {
+    return RowsToBatches(id == 1 ? pa->end() : pb->end());
   };
   ctx.resolve_delta = [pa, pb](ObjectId id) -> Result<ChangeSet> {
     return id == 1 ? pa->Delta() : pb->Delta();
@@ -382,7 +382,10 @@ void CheckStateAgainstRecompute(uint64_t seed, obs::OpStats* totals) {
     with_state.profile = &sink;
     auto got = Differentiate(*plan, with_state);
     for (const auto& op : sink.operators()) {
-      if (const obs::OpStats* st = sink.Find(op.tag)) totals->Merge(*st);
+      if (const obs::OpStats* st = sink.Find(op.tag)) {
+        totals->state_groups += st->state_groups;
+        totals->recomputed_groups += st->recomputed_groups;
+      }
     }
 
     ASSERT_EQ(got.ok(), want.ok()) << plan->ToString();

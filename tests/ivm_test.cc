@@ -53,11 +53,11 @@ class DeltaHarness {
 
   DeltaContext Ctx() const {
     DeltaContext ctx;
-    ctx.resolve_at_start = [this](ObjectId id) -> Result<std::vector<IdRow>> {
-      return tables_.at(id).start;
+    ctx.resolve_at_start = [this](ObjectId id) -> Result<BatchVector> {
+      return RowsToBatches(tables_.at(id).start);
     };
-    ctx.resolve_at_end = [this](ObjectId id) -> Result<std::vector<IdRow>> {
-      return tables_.at(id).end;
+    ctx.resolve_at_end = [this](ObjectId id) -> Result<BatchVector> {
+      return RowsToBatches(tables_.at(id).end);
     };
     ctx.resolve_delta = [this](ObjectId id) -> Result<ChangeSet> {
       const auto& t = tables_.at(id);
@@ -294,6 +294,33 @@ TEST(DifferentiatorTest, GroupDisappearsWhenEmpty) {
   EXPECT_EQ(stats.deletes, 1u);
   EXPECT_EQ(stats.inserts, 0u);
   h.CheckDelta(plan);
+}
+
+TEST(DifferentiatorTest, RecomputeRedoesFailedRestrictKeysRowWise) {
+  // A group key that fails to evaluate on an unchanged snapshot row: the
+  // vectorized restrict fails, that batch is redone row-wise (one row
+  // redo), and the recompute surfaces the scalar error full execution
+  // raises.
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  h.Insert(t, R(1, 2), true);
+  h.Insert(t, R(2, 0), true);  // 10 / 0 in the I0 snapshot
+  h.Insert(t, R(3, 5), false);
+  auto plan = CanonicalizePlanTags(MakeAggregate(
+      h.Scan(t), {Binary(BinaryOp::kDiv, LitInt(10), ColRef(1))},
+      {Agg(AggFunc::kCountStar, {})}, {"q", "n"}));
+  obs::ProfileSink sink;
+  DeltaContext ctx = h.Ctx();
+  ctx.profile = &sink;
+  auto delta = Differentiate(*plan, ctx);
+  ASSERT_FALSE(delta.ok());
+  ExecContext full_ctx;
+  full_ctx.resolve_scan = ctx.resolve_at_start;
+  auto full = ExecutePlan(*plan, full_ctx);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(delta.status().ToString(), full.status().ToString());
+  ASSERT_NE(sink.Find(plan->node_tag), nullptr);
+  EXPECT_EQ(sink.Find(plan->node_tag)->row_redos, 1u);
 }
 
 TEST(DifferentiatorTest, UnchangedGroupsProduceNoChanges) {
