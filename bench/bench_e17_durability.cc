@@ -16,6 +16,8 @@
 //     linearly with ticks.
 //
 // `--smoke` runs the tiny tier (the `recovery-smoke` ctest target).
+// `--git-sha=<rev>` records the measured source revision in the JSON's
+// machine meta (with hardware threads, build type and compiler).
 
 #include <algorithm>
 #include <cstring>
@@ -197,8 +199,10 @@ RecoveryMeasurement MeasureRecovery(const WorkloadResult& run) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  std::string git_sha = "unknown";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strncmp(argv[i], "--git-sha=", 10) == 0) git_sha = argv[i] + 10;
   }
 
   const Tier tier = smoke ? Tier{6, 100} : Tier{40, 2000};
@@ -214,6 +218,7 @@ int main(int argc, char** argv) {
       .Bool("smoke", smoke)
       .Int("ticks", tier.ticks)
       .Int("rows_per_tick", tier.rows_per_tick);
+  json.AddMachineMeta(git_sha);
 
   std::printf("== E17 durability (%s tier) ==\n", smoke ? "smoke" : "full");
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -231,6 +232,26 @@ class BenchJson {
         description_(std::move(description)) {}
 
   Obj& meta() { return meta_; }
+
+  /// Records in meta() where the numbers came from: the machine's hardware
+  /// threads, the build type and compiler the bench was built with, and the
+  /// source revision `git_sha` (pass "unknown" when the caller has none).
+  void AddMachineMeta(const std::string& git_sha) {
+#ifdef DVS_BUILD_TYPE
+    const char* build_type = DVS_BUILD_TYPE;
+#else
+    const char* build_type = "unknown";
+#endif
+#ifdef __clang__
+    const char* compiler = "clang " __VERSION__;
+#else
+    const char* compiler = "gcc " __VERSION__;
+#endif
+    meta_.Int("hardware_threads", std::thread::hardware_concurrency())
+        .Str("build_type", build_type)
+        .Str("compiler", compiler)
+        .Str("git_sha", git_sha);
+  }
 
   Obj& AddPoint() {
     points_.emplace_back();

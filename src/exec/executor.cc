@@ -123,17 +123,6 @@ Status CheckSourceWidth(const PlanNode& n, size_t width) {
                     std::to_string(n.output_schema.size()) + " columns");
 }
 
-Result<Row> EvalKey(const std::vector<ExprPtr>& key_exprs, const Row& row,
-                    const EvalContext& ctx) {
-  Row key;
-  key.reserve(key_exprs.size());
-  for (const ExprPtr& e : key_exprs) {
-    DVS_ASSIGN_OR_RETURN(Value v, Eval(*e, row, ctx));
-    key.push_back(std::move(v));
-  }
-  return key;
-}
-
 KeyExtractor::KeyExtractor(const std::vector<ExprPtr>& key_exprs,
                            const EvalContext& ctx)
     : exprs_(key_exprs), ctx_(ctx), scratch_(key_exprs.size()) {

@@ -66,11 +66,6 @@ Status CheckSourceWidth(const PlanNode& n, size_t width);
 
 // ---- Helpers shared with the differentiator ----
 
-/// Computes the values of `key_exprs` for a row. Allocates a fresh Row per
-/// call — hot loops should use KeyExtractor instead.
-Result<Row> EvalKey(const std::vector<ExprPtr>& key_exprs, const Row& row,
-                    const EvalContext& ctx);
-
 /// Evaluates a fixed set of key expressions row after row into one reused
 /// scratch buffer, computing the HashRow digest once per row. Bare
 /// ColumnRef keys (the overwhelmingly common case) skip the expression

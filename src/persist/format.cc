@@ -2,16 +2,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "fault/injector.h"
 
 namespace dvs {
 namespace persist {
 
-// The on-disk format is documented (and fingerprint-compared) as
-// little-endian fixed-width; Encoder/Decoder memcpy native byte order, so
+// The file and frame headers and F64 payloads are documented (and
+// fingerprint-compared) as little-endian; they memcpy native byte order, so
 // enforce the equivalence at compile time rather than silently writing a
 // byte-swapped file on an exotic host.
 #if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__)
@@ -39,36 +41,55 @@ const uint32_t* CrcTable() {
 }
 
 constexpr size_t kHeaderSize = 4 + 4 + 8;  // magic, version, seq
-constexpr size_t kFrameOverhead = 4 + 4 + 1;  // len, crc, type
+constexpr size_t kFrameHeaderSize = 4 + 4;  // len, crc
+
+/// Fixed-width little-endian fields of the file and frame headers.
+template <typename T>
+void PutFixed(char* out, T v) {
+  std::memcpy(out, &v, sizeof(T));
+}
+
+template <typename T>
+T GetFixed(const char* in) {
+  T v;
+  std::memcpy(&v, in, sizeof(T));
+  return v;
+}
 
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t n) {
+uint32_t Crc32(const void* data, size_t n, uint32_t crc) {
   const uint32_t* table = CrcTable();
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = crc ^ 0xFFFFFFFFu;
   for (size_t i = 0; i < n; ++i) {
     c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
 
-void Encoder::U32(uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  buf_.append(b, 4);
+void Encoder::U64(uint64_t v) {
+  char b[10];
+  size_t n = 0;
+  while (v >= 0x80) {
+    b[n++] = static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  b[n++] = static_cast<char>(v);
+  buf_.append(b, n);
 }
 
-void Encoder::U64(uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  buf_.append(b, 8);
+void Encoder::I64(int64_t v) {
+  // Zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ... so small magnitudes of
+  // either sign take one byte.
+  const uint64_t u = static_cast<uint64_t>(v);
+  U64((u << 1) ^ (v < 0 ? ~uint64_t{0} : 0));
 }
 
 void Encoder::F64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  U64(bits);
+  char b[8];
+  std::memcpy(b, &v, 8);
+  buf_.append(b, 8);
 }
 
 void Encoder::Str(std::string_view s) {
@@ -166,31 +187,63 @@ bool Decoder::Need(size_t n) {
   return true;
 }
 
+size_t Decoder::Reservable(uint32_t n) const {
+  return std::min<size_t>(n, data_.size() - pos_);
+}
+
 uint8_t Decoder::U8() {
   if (!Need(1)) return 0;
   return static_cast<uint8_t>(data_[pos_++]);
 }
 
-uint32_t Decoder::U32() {
-  if (!Need(4)) return 0;
-  uint32_t v;
-  std::memcpy(&v, data_.data() + pos_, 4);
-  pos_ += 4;
-  return v;
+uint64_t Decoder::U64() {
+  uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    if (!Need(1)) return 0;
+    const uint8_t b = static_cast<uint8_t>(data_[pos_++]);
+    // The 10th byte holds bit 63 alone: anything more is past 64 bits or an
+    // 11th byte.
+    if (shift == 63 && b > 1) break;
+    v |= static_cast<uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) {
+      // A zero final byte after the first is an overlong encoding.
+      if (b == 0 && shift > 0) break;
+      return v;
+    }
+  }
+  ok_ = false;
+  return 0;
 }
 
-uint64_t Decoder::U64() {
-  if (!Need(8)) return 0;
-  uint64_t v;
-  std::memcpy(&v, data_.data() + pos_, 8);
-  pos_ += 8;
-  return v;
+uint32_t Decoder::U32() {
+  const uint64_t v = U64();
+  if (v > std::numeric_limits<uint32_t>::max()) {
+    ok_ = false;
+    return 0;
+  }
+  return static_cast<uint32_t>(v);
+}
+
+int64_t Decoder::I64() {
+  const uint64_t u = U64();
+  return static_cast<int64_t>((u >> 1) ^ (0 - (u & 1)));
+}
+
+int32_t Decoder::I32() {
+  const int64_t v = I64();
+  if (v < std::numeric_limits<int32_t>::min() ||
+      v > std::numeric_limits<int32_t>::max()) {
+    ok_ = false;
+    return 0;
+  }
+  return static_cast<int32_t>(v);
 }
 
 double Decoder::F64() {
-  uint64_t bits = U64();
+  if (!Need(8)) return 0;
   double v;
-  std::memcpy(&v, &bits, 8);
+  std::memcpy(&v, data_.data() + pos_, 8);
+  pos_ += 8;
   return v;
 }
 
@@ -239,7 +292,7 @@ Value Decoder::Val() {
 Row Decoder::DecodeRow() {
   uint32_t n = U32();
   Row r;
-  if (ok_) r.reserve(n);
+  r.reserve(Reservable(n));
   for (uint32_t i = 0; i < n && ok_; ++i) r.push_back(Val());
   return r;
 }
@@ -254,7 +307,7 @@ IdRow Decoder::DecodeIdRow() {
 std::vector<IdRow> Decoder::DecodeIdRows() {
   uint32_t n = U32();
   std::vector<IdRow> rows;
-  if (ok_) rows.reserve(n);
+  rows.reserve(Reservable(n));
   for (uint32_t i = 0; i < n && ok_; ++i) rows.push_back(DecodeIdRow());
   return rows;
 }
@@ -270,7 +323,7 @@ ChangeRow Decoder::DecodeChangeRow() {
 ChangeSet Decoder::DecodeChangeSet() {
   uint32_t n = U32();
   ChangeSet cs;
-  if (ok_) cs.reserve(n);
+  cs.reserve(Reservable(n));
   for (uint32_t i = 0; i < n && ok_; ++i) cs.push_back(DecodeChangeRow());
   return cs;
 }
@@ -315,18 +368,17 @@ Status RecordFileWriter::Open(const std::string& path, uint32_t magic,
   if (file_ == nullptr) {
     return Internal("cannot open '" + path + "' for writing");
   }
-  Encoder header;
-  header.U32(magic);
-  header.U32(kFormatVersion);
-  header.U64(seq);
-  const std::string& h = header.buf();
-  if (std::fwrite(h.data(), 1, h.size(), file_) != h.size()) {
+  char header[kHeaderSize];
+  PutFixed<uint32_t>(header, magic);
+  PutFixed<uint32_t>(header + 4, kFormatVersion);
+  PutFixed<uint64_t>(header + 8, seq);
+  if (std::fwrite(header, 1, kHeaderSize, file_) != kHeaderSize) {
     Close();
     return Internal("short write of header to '" + path + "'");
   }
   std::fflush(file_);
   path_ = path;
-  bytes_ = h.size();
+  bytes_ = kHeaderSize;
   return OkStatus();
 }
 
@@ -356,20 +408,37 @@ Status RecordFileWriter::Append(uint8_t type, std::string_view payload) {
       }
     }
   }
-  Encoder frame;
-  frame.U32(static_cast<uint32_t>(payload.size() + 1));
-  std::string body;
-  body.reserve(payload.size() + 1);
-  body.push_back(static_cast<char>(type));
-  body.append(payload.data(), payload.size());
-  frame.U32(Crc32(body.data(), body.size()));
-  if (corrupt_byte && !body.empty()) {
-    body[body.size() / 2] = static_cast<char>(body[body.size() / 2] ^ 0x40);
+  // The frame body is the type byte then the payload. The CRC chains over
+  // both and they are written in place; only an injected corrupt byte
+  // copies the body, to flip a byte of it after the CRC is computed.
+  const char type_byte = static_cast<char>(type);
+  const size_t body_size = payload.size() + 1;
+  char head[kFrameHeaderSize];
+  PutFixed<uint32_t>(head, static_cast<uint32_t>(body_size));
+  const uint32_t crc =
+      Crc32(payload.data(), payload.size(), Crc32(&type_byte, 1));
+  PutFixed<uint32_t>(head + 4, crc);
+  std::string_view first(&type_byte, 1);
+  std::string_view rest = payload;
+  std::string corrupted;
+  if (corrupt_byte) {
+    corrupted.reserve(body_size);
+    corrupted.push_back(type_byte);
+    corrupted.append(payload);
+    char& flip = corrupted[body_size / 2];
+    flip = static_cast<char>(flip ^ 0x40);
+    first = corrupted;
+    rest = {};
   }
-  const std::string& head = frame.buf();
-  size_t body_to_write = simulate_short_write ? body.size() / 2 : body.size();
-  if (std::fwrite(head.data(), 1, head.size(), file_) != head.size() ||
-      std::fwrite(body.data(), 1, body_to_write, file_) != body.size()) {
+  // A simulated short write stops after half the body.
+  size_t budget = simulate_short_write ? body_size / 2 : body_size;
+  auto put = [&](std::string_view piece) {
+    const size_t n = std::min(piece.size(), budget);
+    budget -= n;
+    return n == 0 || std::fwrite(piece.data(), 1, n, file_) == n;
+  };
+  if (std::fwrite(head, 1, kFrameHeaderSize, file_) != kFrameHeaderSize ||
+      !put(first) || !put(rest) || simulate_short_write) {
     // A short write leaves a torn frame. Rewind to the last intact record so
     // later appends stay inside the replayable prefix; if the rewind itself
     // fails, poison the writer — appending past the corruption would be
@@ -382,7 +451,7 @@ Status RecordFileWriter::Append(uint8_t type, std::string_view payload) {
     return Internal("short write appending persist record");
   }
   std::fflush(file_);
-  bytes_ += head.size() + body.size();
+  bytes_ += kFrameHeaderSize + body_size;
   return OkStatus();
 }
 
@@ -409,11 +478,10 @@ Result<RecordFile> ReadRecordFile(const std::string& path, uint32_t magic,
   if (data.size() < kHeaderSize) {
     return Corruption("'" + path + "' is shorter than a file header");
   }
-  Decoder header(std::string_view(data).substr(0, kHeaderSize));
-  uint32_t got_magic = header.U32();
-  uint32_t version = header.U32();
+  uint32_t got_magic = GetFixed<uint32_t>(data.data());
+  uint32_t version = GetFixed<uint32_t>(data.data() + 4);
   RecordFile out;
-  out.seq = header.U64();
+  out.seq = GetFixed<uint64_t>(data.data() + 8);
   if (got_magic != magic) {
     return Corruption("'" + path + "' has wrong magic");
   }
@@ -426,18 +494,19 @@ Result<RecordFile> ReadRecordFile(const std::string& path, uint32_t magic,
   while (pos < data.size()) {
     std::string bad;
     FramedRecord rec;
-    if (data.size() - pos < 8) {
+    if (data.size() - pos < kFrameHeaderSize) {
       bad = "incomplete frame header (" + std::to_string(data.size() - pos) +
             " of 8 bytes)";
     } else {
-      Decoder frame(std::string_view(data).substr(pos, 8));
-      uint32_t len = frame.U32();
-      uint32_t crc = frame.U32();
-      if (len < 1 || data.size() - pos - 8 < len) {
+      uint32_t len = GetFixed<uint32_t>(data.data() + pos);
+      uint32_t crc = GetFixed<uint32_t>(data.data() + pos + 4);
+      size_t remain = data.size() - pos - kFrameHeaderSize;
+      if (len < 1 || remain < len) {
         bad = "frame body truncated (declares " + std::to_string(len) +
-              " bytes, " + std::to_string(data.size() - pos - 8) + " remain)";
+              " bytes, " + std::to_string(remain) + " remain)";
       } else {
-        std::string_view body = std::string_view(data).substr(pos + 8, len);
+        std::string_view body =
+            std::string_view(data).substr(pos + kFrameHeaderSize, len);
         uint32_t computed = Crc32(body.data(), body.size());
         if (computed != crc) {
           char why[64];
@@ -448,7 +517,7 @@ Result<RecordFile> ReadRecordFile(const std::string& path, uint32_t magic,
         } else {
           rec.type = static_cast<uint8_t>(body[0]);
           rec.payload = std::string(body.substr(1));
-          pos += 8 + len;
+          pos += kFrameHeaderSize + len;
           rec.end_offset = pos;
         }
       }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/key_hash.h"
+#include "exec/evaluator.h"
 #include "exec/executor.h"
 #include "plan/logical_plan.h"
 #include "types/row.h"
@@ -115,7 +116,7 @@ TEST(KeyedIndexTest, MixedDigestAndRefProbes) {
 
 // ---- KeyExtractor over real expressions ----
 
-TEST(KeyExtractorTest, ColumnRefFastPathMatchesEvalKey) {
+TEST(KeyExtractorTest, ColumnRefFastPathMatchesEval) {
   std::vector<ExprPtr> exprs;
   exprs.push_back(ColRef(1, "name", DataType::kString));
   exprs.push_back(ColRef(0, "id", DataType::kInt64));
@@ -125,10 +126,14 @@ TEST(KeyExtractorTest, ColumnRefFastPathMatchesEvalKey) {
   Row row = {Value::Int(5), Value::String("s")};
 
   ASSERT_TRUE(ex.Extract(row).ok());
-  auto via_eval = EvalKey(exprs, row, ctx);
-  ASSERT_TRUE(via_eval.ok());
-  EXPECT_TRUE(RowsEqual(ex.key(), via_eval.value()));
-  EXPECT_EQ(ex.digest(), HashRow(via_eval.value()));
+  Row via_eval;
+  for (const ExprPtr& e : exprs) {
+    auto v = Eval(*e, row, ctx);
+    ASSERT_TRUE(v.ok());
+    via_eval.push_back(v.take());
+  }
+  EXPECT_TRUE(RowsEqual(ex.key(), via_eval));
+  EXPECT_EQ(ex.digest(), HashRow(via_eval));
   EXPECT_FALSE(ex.has_null());
 
   // Scratch reuse across rows: a second extraction fully replaces the first.

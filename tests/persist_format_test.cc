@@ -1,15 +1,21 @@
 // Serialization round-trip tests for every persisted struct (persist/):
-// primitive codecs, values/rows/change sets, WAL record payloads, the
-// system image, and the framed record file (including torn-tail and
-// corruption behavior).
+// primitive codecs (including varint edge cases and the non-canonical
+// encodings the decoder rejects), values/rows/change sets, WAL record
+// payloads, the system image, the framed record file (including torn-tail,
+// corruption and version behavior), and hostile payloads whose inflated
+// counts must come back as a Status, never as an exception.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "persist/format.h"
+#include "persist/manager.h"
+#include "persist/recover.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 
@@ -56,6 +62,103 @@ TEST(EncoderTest, DecoderLatchesOnUnderflow) {
   EXPECT_EQ(d.U64(), 0u);  // underflow
   EXPECT_FALSE(d.ok());
   EXPECT_FALSE(d.status().ok());
+}
+
+TEST(VarintTest, EdgeValuesRoundTripAtTheirSizes) {
+  const uint64_t u64s[] = {0, 127, 128, (uint64_t{1} << 32) - 1,
+                           uint64_t{1} << 63,
+                           std::numeric_limits<uint64_t>::max()};
+  const size_t u64_sizes[] = {1, 1, 2, 5, 10, 10};
+  for (size_t i = 0; i < std::size(u64s); ++i) {
+    Encoder e;
+    e.U64(u64s[i]);
+    EXPECT_EQ(e.buf().size(), u64_sizes[i]) << u64s[i];
+    Decoder d(e.buf());
+    EXPECT_EQ(d.U64(), u64s[i]);
+    EXPECT_TRUE(d.done()) << u64s[i];
+  }
+  const int64_t i64s[] = {0, -1, 1, -64, 64,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()};
+  const size_t i64_sizes[] = {1, 1, 1, 1, 2, 10, 10};
+  for (size_t i = 0; i < std::size(i64s); ++i) {
+    Encoder e;
+    e.I64(i64s[i]);
+    EXPECT_EQ(e.buf().size(), i64_sizes[i]) << i64s[i];
+    Decoder d(e.buf());
+    EXPECT_EQ(d.I64(), i64s[i]);
+    EXPECT_TRUE(d.done()) << i64s[i];
+  }
+  Encoder e;
+  e.U32(std::numeric_limits<uint32_t>::max());
+  e.I32(std::numeric_limits<int32_t>::min());
+  e.I32(std::numeric_limits<int32_t>::max());
+  Decoder d(e.buf());
+  EXPECT_EQ(d.U32(), std::numeric_limits<uint32_t>::max());
+  EXPECT_EQ(d.I32(), std::numeric_limits<int32_t>::min());
+  EXPECT_EQ(d.I32(), std::numeric_limits<int32_t>::max());
+  EXPECT_TRUE(d.done());
+}
+
+/// Decodes `bytes` as one U64 and reports whether the decoder accepted it.
+bool U64Accepted(const std::string& bytes) {
+  Decoder d(bytes);
+  d.U64();
+  return d.ok();
+}
+
+TEST(VarintTest, MalformedEncodingsLatchFailure) {
+  // Truncated at the end of the payload: a continuation bit with nothing
+  // after it.
+  Encoder e;
+  e.U64(uint64_t{1} << 40);
+  std::string cut = e.buf().substr(0, e.buf().size() - 1);
+  EXPECT_FALSE(U64Accepted(cut));
+  EXPECT_FALSE(U64Accepted(std::string("\x80", 1)));
+  EXPECT_FALSE(U64Accepted(""));
+  // Eleven bytes: ten continuation bytes, then a terminator.
+  EXPECT_FALSE(U64Accepted(std::string(10, '\x80') + '\x01'));
+  // A tenth byte carrying bits past 64.
+  EXPECT_FALSE(U64Accepted(std::string(9, '\xFF') + '\x02'));
+  EXPECT_TRUE(U64Accepted(std::string(9, '\xFF') + '\x01'));
+  // Overlong: a multi-byte encoding whose last byte is zero.
+  EXPECT_FALSE(U64Accepted(std::string("\x80\x00", 2)));
+  EXPECT_FALSE(U64Accepted(std::string("\xFF\x00", 2)));
+  EXPECT_FALSE(U64Accepted(std::string(9, '\x80') + '\x00'));
+  EXPECT_TRUE(U64Accepted(std::string("\x00", 1)));
+
+  // A latched failure returns zeros and reports Corruption.
+  const std::string overlong("\x80\x00\x05", 3);
+  Decoder d(overlong);
+  EXPECT_EQ(d.U64(), 0u);
+  EXPECT_EQ(d.U64(), 0u);
+  EXPECT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kCorruption);
+}
+
+TEST(VarintTest, OutOfRangeNarrowFieldsLatchFailure) {
+  {
+    Encoder e;
+    e.U64(uint64_t{1} << 32);
+    Decoder d(e.buf());
+    EXPECT_EQ(d.U32(), 0u);
+    EXPECT_FALSE(d.ok());
+  }
+  for (int64_t v : {int64_t{std::numeric_limits<int32_t>::max()} + 1,
+                    int64_t{std::numeric_limits<int32_t>::min()} - 1,
+                    std::numeric_limits<int64_t>::min()}) {
+    Encoder e;
+    e.I64(v);
+    Decoder d(e.buf());
+    EXPECT_EQ(d.I32(), 0) << v;
+    EXPECT_FALSE(d.ok()) << v;
+  }
+}
+
+TEST(EncoderTest, Crc32ChainsOverPieces) {
+  const std::string whole = "\x07payload bytes";
+  EXPECT_EQ(Crc32(whole.data() + 1, whole.size() - 1, Crc32(whole.data(), 1)),
+            Crc32(whole.data(), whole.size()));
 }
 
 TEST(EncoderTest, ValuesRoundTrip) {
@@ -119,6 +222,114 @@ TEST(EncoderTest, TableVersionRoundTrip) {
   EXPECT_EQ(v2.removed, v.removed);
   EXPECT_EQ(v2.row_count, v.row_count);
   EXPECT_TRUE(v2.data_equivalent);
+}
+
+// ---- Hostile payloads: CRC-valid bytes whose counts claim more elements
+// than the payload holds. Each decoder must latch a failure; reserving the
+// claimed count would throw std::bad_alloc (or trip the sanitizer's
+// allocation limit) instead.
+
+constexpr uint32_t kInflatedCount = 0xFFFFFFF0u;
+
+TEST(HostileCountTest, DecodeRowFailsWithoutThrowing) {
+  Encoder e;
+  e.U32(kInflatedCount);
+  e.Val(Value::Int(1));
+  Decoder d(e.buf());
+  Row r;
+  EXPECT_NO_THROW(r = d.DecodeRow());
+  EXPECT_FALSE(d.ok());
+  EXPECT_LE(r.capacity(), e.buf().size());
+}
+
+TEST(HostileCountTest, DecodeIdRowsFailsWithoutThrowing) {
+  Encoder e;
+  e.U32(kInflatedCount);
+  e.EncodeIdRow({5, {Value::Int(1)}});
+  Decoder d(e.buf());
+  std::vector<IdRow> rows;
+  EXPECT_NO_THROW(rows = d.DecodeIdRows());
+  EXPECT_FALSE(d.ok());
+  EXPECT_LE(rows.capacity(), e.buf().size());
+}
+
+TEST(HostileCountTest, DecodeChangeSetFailsWithoutThrowing) {
+  Encoder e;
+  e.U32(kInflatedCount);
+  e.EncodeChangeRow({ChangeAction::kInsert, 5, {Value::Int(1)}});
+  Decoder d(e.buf());
+  ChangeSet cs;
+  EXPECT_NO_THROW(cs = d.DecodeChangeSet());
+  EXPECT_FALSE(d.ok());
+  EXPECT_LE(cs.capacity(), e.buf().size());
+}
+
+TEST(HostileCountTest, WalDecodersReturnCorruption) {
+  // A commit record whose one table carries an inflated change count.
+  Encoder commit;
+  commit.U32(1);
+  commit.U64(3);
+  commit.U64(100);
+  commit.U32(kInflatedCount);
+  auto c = DecodeCommit(commit.buf());
+  EXPECT_EQ(c.status().code(), StatusCode::kCorruption);
+
+  // A refresh record whose overwrite rows carry an inflated count.
+  Encoder refresh;
+  refresh.U64(9);
+  refresh.I64(96);
+  refresh.U8(3);
+  refresh.U8(0);
+  refresh.Hlc({96, 0});
+  refresh.U32(kInflatedCount);
+  auto r = DecodeRefresh(refresh.buf());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+}
+
+TEST(HostileCountTest, CheckpointWithInflatedPartitionReturnsCorruption) {
+  // A system image with one table whose only partition claims 0xFFFFFFF0
+  // rows — laid out field by field as EncodeSystemImage writes it.
+  Encoder e;
+  e.Hlc({1000, 0});
+  e.I64(1000);         // clock_now
+  e.U32(1);            // objects
+  e.U64(1);            // object id
+  e.Str("t");
+  e.U8(0);             // kind
+  e.Bool(false);       // dropped
+  e.I64(0);            // min_data_retention
+  e.Bool(true);        // has_storage
+  e.EncodeSchema({});  // table schema
+  e.U64(4096);         // max_partition_rows
+  e.U64(1);            // first_version
+  e.U32(0);            // versions
+  e.U32(1);            // partitions
+  e.U64(1);            // partition id
+  e.U32(kInflatedCount);
+
+  std::string dir = TempPath("hostile_ckpt");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::string path = CheckpointPath(dir, 1);
+  {
+    // The image record, then the end record (types 1 and 2 of
+    // persist/snapshot.cc).
+    RecordFileWriter w;
+    ASSERT_TRUE(w.Open(path, kCheckpointMagic, 1).ok());
+    ASSERT_TRUE(w.Append(1, e.buf()).ok());
+    ASSERT_TRUE(w.Append(2, "").ok());
+  }
+
+  Result<SystemImage> read = Corruption("unset");
+  EXPECT_NO_THROW(read = ReadCheckpointFile(path, nullptr));
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
+
+  // Recovery over the directory reports the bad checkpoint as a Status.
+  VirtualClock clock(0);
+  Result<RecoveredSystem> recovered = Corruption("unset");
+  EXPECT_NO_THROW(recovered = Recover(dir, &clock));
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+  fs::remove_all(dir);
 }
 
 TEST(WalCodecTest, CommitRoundTrip) {
@@ -411,6 +622,30 @@ TEST(RecordFileTest, CorruptionDetectedByCrc) {
   EXPECT_TRUE(torn.value().records.empty());
   EXPECT_TRUE(torn.value().torn_tail);
   EXPECT_FALSE(ReadRecordFile(path, kWalMagic, false).ok());
+  std::remove(path.c_str());
+}
+
+TEST(RecordFileTest, OtherFormatVersionRejectedAsUnsupported) {
+  std::string path = TempPath("v2.bin");
+  {
+    RecordFileWriter w;
+    ASSERT_TRUE(w.Open(path, kWalMagic, 1).ok());
+    ASSERT_TRUE(w.Append(1, "x").ok());
+  }
+  ASSERT_TRUE(ReadRecordFile(path, kWalMagic, true).ok());
+  // Rewrite the header's version field (bytes 4..7) to 2.
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const uint32_t v2 = 2;
+    char b[4];
+    std::memcpy(b, &v2, 4);
+    f.seekp(4);
+    f.write(b, 4);
+  }
+  for (bool tolerate : {true, false}) {
+    auto read = ReadRecordFile(path, kWalMagic, tolerate);
+    EXPECT_EQ(read.status().code(), StatusCode::kUnsupported);
+  }
   std::remove(path.c_str());
 }
 
