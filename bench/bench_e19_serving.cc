@@ -15,13 +15,17 @@
 //      to the fleet's refresh-lag percentiles (schema note in ROADMAP.md).
 //
 // --smoke runs a small fleet for CI (tier-1 ctest + TSan); the default run
-// scales the generator to O(10k) DTs.
+// scales the generator to O(10k) DTs. `--git-sha=<rev>` records the measured
+// source revision in the JSON's machine meta (with hardware threads, build
+// type and compiler).
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "sched/scheduler.h"
 #include "serve/query_service.h"
 #include "workload/fleet.h"
@@ -87,7 +91,12 @@ void ReaderLoop(serve::QueryService* service, const std::vector<workload::FleetD
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  bool smoke = false;
+  std::string git_sha = "unknown";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strncmp(argv[i], "--git-sha=", 10) == 0) git_sha = argv[i] + 10;
+  }
 
   VirtualClock clock(0);
   DvsEngine engine(clock);
@@ -158,10 +167,12 @@ int main(int argc, char** argv) {
   // Snapshot counters and percentiles now — the oracle phase below reuses
   // the same service and would otherwise fold its re-reads into them.
   const serve::ServeStats stats = service.stats();
-  const double read_p50_ms = service.scan_latency().P50Us() / 1000.0;
-  const double read_p99_ms = service.scan_latency().P99Us() / 1000.0;
-  const double point_p50_ms = service.point_latency().P50Us() / 1000.0;
-  const double point_p99_ms = service.point_latency().P99Us() / 1000.0;
+  const obs::HistogramData scan = service.scan_latency().Export();
+  const obs::HistogramData point = service.point_latency().Export();
+  const double read_p50_ms = scan.Quantile(0.50) / 1000.0;
+  const double read_p99_ms = scan.Quantile(0.99) / 1000.0;
+  const double point_p50_ms = point.Quantile(0.50) / 1000.0;
+  const double point_p99_ms = point.Quantile(0.99) / 1000.0;
 
   // ---- Oracle: quiesced re-read at each sample's *resolved* refresh
   // timestamp must reproduce the concurrent result byte-for-byte.
@@ -205,7 +216,7 @@ int main(int argc, char** argv) {
 
   // ---- Refresh-lag percentiles from the same run, for side-by-side
   // freshness/latency reporting.
-  bench::StreamingHistogram trough_ms, peak_ms;
+  obs::HistogramData trough_ms, peak_ms;
   uint64_t committed = 0;
   for (const RefreshRecord& r : sched.log()) {
     if (r.skipped || r.failed) continue;
@@ -225,7 +236,7 @@ int main(int argc, char** argv) {
               point_p99_ms);
   std::printf("refresh lag:   trough p50 %.0f ms  peak p99 %.0f ms "
               "(%llu committed refreshes)\n",
-              trough_ms.P50(), peak_ms.P99(),
+              trough_ms.Quantile(0.50), peak_ms.Quantile(0.99),
               static_cast<unsigned long long>(committed));
   std::printf("oracle: %llu checked, %llu mismatched, %llu skipped\n",
               static_cast<unsigned long long>(oracle_checked),
@@ -247,11 +258,12 @@ int main(int argc, char** argv) {
       .Int("readers", kReaders)
       .Int("rounds", kRounds)
       .Bool("smoke", smoke);
+  json.AddMachineMeta(git_sha);
   bench::AddReadLatency(json.AddPoint().Str("kind", "scan"), read_p50_ms,
                         read_p99_ms, qps)
       .Int("queries", static_cast<int64_t>(ok))
-      .Num("refresh_trough_p50_ms", trough_ms.P50())
-      .Num("refresh_peak_p99_ms", peak_ms.P99());
+      .Num("refresh_trough_p50_ms", trough_ms.Quantile(0.50))
+      .Num("refresh_peak_p99_ms", peak_ms.Quantile(0.99));
   bench::AddReadLatency(json.AddPoint().Str("kind", "point_lookup"),
                         point_p50_ms, point_p99_ms, qps)
       .Int("cache_hits", static_cast<int64_t>(stats.cache_hits))

@@ -19,7 +19,9 @@
 // A serve-read phase reports read latency through bench::AddReadLatency so
 // E19 and E20 share the read_p50_ms / read_p99_ms / qps JSON keys.
 //
-// --smoke runs a small fleet for CI (tier-1 ctest + TSan).
+// --smoke runs a small fleet for CI (tier-1 ctest + TSan). `--git-sha=<rev>`
+// records the measured source revision in the JSON's machine meta (with
+// hardware threads, build type and compiler).
 
 #include <cstring>
 #include <string>
@@ -145,8 +147,9 @@ RunOutcome RunWorkload(const RunConfig& cfg) {
       if (service.Execute(q).ok()) out.reads_ok += 1;
     }
     const double read_s = read_timer.Seconds();
-    out.read_p50_ms = service.scan_latency().P50Us() / 1000.0;
-    out.read_p99_ms = service.scan_latency().P99Us() / 1000.0;
+    const obs::HistogramData scan = service.scan_latency().Export();
+    out.read_p50_ms = scan.Quantile(0.50) / 1000.0;
+    out.read_p99_ms = scan.Quantile(0.99) / 1000.0;
     out.qps = read_s > 0 ? static_cast<double>(out.reads_ok) / read_s : 0;
     // Scrape serve-backed metrics while the service (whose callbacks feed
     // them) is still alive; only deterministic lines survive the gate.
@@ -182,7 +185,12 @@ RunOutcome RunWorkload(const RunConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  bool smoke = false;
+  std::string git_sha = "unknown";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strncmp(argv[i], "--git-sha=", 10) == 0) git_sha = argv[i] + 10;
+  }
 
   RunConfig base;
   base.pipelines = smoke ? 32 : 400;
@@ -296,6 +304,7 @@ int main(int argc, char** argv) {
       .Int("rounds", base.rounds)
       .Int("workers_parallel", 4)
       .Bool("smoke", smoke);
+  json.AddMachineMeta(git_sha);
   json.AddPoint()
       .Str("kind", "determinism")
       .Bool("deterministic_metrics_match", metrics_match)

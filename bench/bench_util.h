@@ -6,7 +6,6 @@
 #ifndef DVS_BENCH_BENCH_UTIL_H_
 #define DVS_BENCH_BENCH_UTIL_H_
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "dt/engine.h"
-#include "obs/metrics.h"
 
 namespace dvs {
 namespace bench {
@@ -53,100 +51,6 @@ inline std::string Bar(double fraction, int width = 40) {
   if (n > width) n = width;
   return std::string(static_cast<size_t>(n), '#');
 }
-
-/// Single-threaded streaming percentile sketch for bench reporting: values
-/// land in log-spaced buckets (8 linear sub-buckets per power-of-two octave),
-/// so Add is O(1), memory is fixed, and Quantile() is exact to within half a
-/// sub-bucket (<= ~6% relative error) at any stream length. The concurrent
-/// serve-path twin lives in src/serve/latency.h; this one is for
-/// driver-thread aggregation (refresh lags, per-tick work) and supports
-/// Merge() across phases.
-class StreamingHistogram {
- public:
-  static constexpr size_t kSubBuckets = 8;
-  static constexpr size_t kBuckets = kSubBuckets + 61 * kSubBuckets;
-
-  void Add(int64_t value) {
-    const uint64_t v = value < 0 ? 0 : static_cast<uint64_t>(value);
-    buckets_[BucketIndex(v)] += 1;
-    count_ += 1;
-    sum_ += v;
-    if (value > max_) max_ = value;
-  }
-
-  void Merge(const StreamingHistogram& other) {
-    for (size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-
-  uint64_t count() const { return count_; }
-  int64_t max() const { return max_; }
-  double Mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-
-  /// Approximate q-quantile (q in [0, 1]); 0 when empty.
-  double Quantile(double q) const {
-    if (count_ == 0) return 0.0;
-    if (q < 0) q = 0;
-    if (q > 1) q = 1;
-    uint64_t target =
-        static_cast<uint64_t>(q * static_cast<double>(count_) + 0.999999);
-    if (target == 0) target = 1;
-    if (target > count_) target = count_;
-    uint64_t cum = 0;
-    for (size_t i = 0; i < kBuckets; ++i) {
-      cum += buckets_[i];
-      if (cum >= target) return BucketMidpoint(i);
-    }
-    return static_cast<double>(max_);
-  }
-  double P50() const { return Quantile(0.50); }
-  double P95() const { return Quantile(0.95); }
-  double P99() const { return Quantile(0.99); }
-
-  /// Exports into the registry interchange format (obs::HistogramData shares
-  /// this exact bucket layout), so bench histograms can feed a registry
-  /// histogram — or merge with serve::LatencyHistogram exports — bucket-wise.
-  obs::HistogramData ExportData() const {
-    static_assert(kBuckets == obs::HistogramData::kBuckets,
-                  "bench and obs histograms must share the bucket layout");
-    obs::HistogramData d;
-    d.count = count_;
-    if (d.count == 0) return d;
-    d.sum = sum_;
-    d.max = max_;
-    d.buckets.assign(buckets_.begin(), buckets_.end());
-    return d;
-  }
-
-  /// Bucket math, exposed for the unit test.
-  static size_t BucketIndex(uint64_t v) {
-    if (v < kSubBuckets) return static_cast<size_t>(v);
-    int octave = 0;
-    for (uint64_t x = v; x > 1; x >>= 1) ++octave;  // floor(log2(v)), >= 3
-    const size_t sub = static_cast<size_t>(v >> (octave - 3)) & 7;
-    return kSubBuckets + static_cast<size_t>(octave - 3) * kSubBuckets + sub;
-  }
-  static double BucketMidpoint(size_t index) {
-    if (index < kSubBuckets) return static_cast<double>(index);
-    const size_t rel = index - kSubBuckets;
-    const int octave = static_cast<int>(rel / kSubBuckets) + 3;
-    const double width = static_cast<double>(1ULL << (octave - 3));
-    const double lo =
-        static_cast<double>(kSubBuckets + rel % kSubBuckets) * width;
-    return lo + width / 2.0;
-  }
-
- private:
-  std::array<uint64_t, kBuckets> buckets_{};
-  uint64_t count_ = 0;
-  uint64_t sum_ = 0;
-  int64_t max_ = 0;
-};
 
 /// Wall-clock stopwatch for timing refresh loops.
 class WallTimer {

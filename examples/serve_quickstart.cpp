@@ -96,9 +96,9 @@ int main() {
               static_cast<unsigned long long>(stats.queries),
               static_cast<unsigned long long>(stats.rows_scanned),
               stats.admission_peak);
+  const obs::HistogramData scan = service.scan_latency().Export();
   std::printf("scan latency: p50 %.1f us  p95 %.1f us  p99 %.1f us  max %lld us\n",
-              service.scan_latency().P50Us(), service.scan_latency().P95Us(),
-              service.scan_latency().P99Us(),
-              static_cast<long long>(service.scan_latency().max_us()));
+              scan.Quantile(0.50), scan.Quantile(0.95), scan.Quantile(0.99),
+              static_cast<long long>(scan.max));
   return 0;
 }

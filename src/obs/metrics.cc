@@ -1,18 +1,17 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 namespace dvs {
 namespace obs {
 
-// ---- Bucket math (shared layout with serve::LatencyHistogram and
-// bench::StreamingHistogram; keep the three in lockstep) ----
+// ---- Bucket math ----
 
 size_t HistogramData::BucketIndex(uint64_t v) {
   if (v < kSubBuckets) return static_cast<size_t>(v);
-  int octave = 0;
-  for (uint64_t x = v; x > 1; x >>= 1) ++octave;  // floor(log2(v)), >= 3
+  const int octave = std::bit_width(v) - 1;  // >= 3 since v >= 8
   const size_t sub = static_cast<size_t>(v >> (octave - 3)) & 7;
   return kSubBuckets + static_cast<size_t>(octave - 3) * kSubBuckets + sub;
 }
@@ -78,21 +77,6 @@ void Histogram::Record(int64_t value) {
   int64_t cur = max_.load(std::memory_order_relaxed);
   while (value > cur &&
          !max_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::Merge(const HistogramData& d) {
-  if (d.count == 0) return;
-  for (size_t i = 0; i < HistogramData::kBuckets && i < d.buckets.size(); ++i) {
-    if (d.buckets[i] != 0) {
-      buckets_[i].fetch_add(d.buckets[i], std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(d.count, std::memory_order_relaxed);
-  sum_.fetch_add(d.sum, std::memory_order_relaxed);
-  int64_t cur = max_.load(std::memory_order_relaxed);
-  while (d.max > cur &&
-         !max_.compare_exchange_weak(cur, d.max, std::memory_order_relaxed)) {
   }
 }
 

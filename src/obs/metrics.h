@@ -13,11 +13,10 @@
 //               is why StorageStats migrated onto it field-for-field.
 //  - Gauge:     int64 set/add/max, relaxed-atomic.
 //  - Histogram: log-spaced buckets (8 linear sub-buckets per power-of-two
-//               octave), relaxed-atomic record. The bucket math is shared
-//               byte-for-byte with serve::LatencyHistogram and
-//               bench::StreamingHistogram, so either can export into a
-//               registry histogram bucket-wise (HistogramData) without
-//               re-recording.
+//               octave), relaxed-atomic record. It is the only histogram in
+//               the repo: serve latencies are member Histograms scraped
+//               through Export(), and single-threaded callers (bench
+//               refresh-lag distributions) accumulate a HistogramData.
 //
 // Determinism contract: every metric declares `deterministic` at
 // registration. Deterministic metrics derive only from virtual-time work
@@ -97,9 +96,10 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
-/// Plain (non-atomic) histogram contents: the interchange format between the
-/// three histogram implementations (obs::Histogram, serve::LatencyHistogram,
-/// bench::StreamingHistogram), all of which share this bucket layout.
+/// Plain (non-atomic) histogram contents: what a Histogram exports and a
+/// snapshot encodes, and a single-threaded histogram in its own right (Add,
+/// Merge). Quantile() returns a bucket midpoint, within half a sub-bucket
+/// width (<= ~6% relative error) of the exact rank value.
 struct HistogramData {
   /// 8 exact buckets for 0..7, then 8 sub-buckets per octave up to 2^63.
   static constexpr size_t kSubBuckets = 8;
@@ -120,16 +120,18 @@ struct HistogramData {
   double Quantile(double q) const;
 };
 
-/// Concurrent histogram instrument: relaxed-atomic Record plus bucket-wise
-/// Merge from any HistogramData exported by the serve/bench twins.
+/// Concurrent histogram instrument: Record is a handful of relaxed atomic
+/// adds (no mutex, no allocation). Export() is safe concurrently with
+/// writers but only approximately consistent mid-flight; read after joining
+/// the writers for exact values.
 class Histogram {
  public:
   Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
+  /// Records one value (negatives clamp to 0).
   void Record(int64_t value);
-  void Merge(const HistogramData& d);
   HistogramData Export() const;
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 

@@ -279,9 +279,12 @@ Value Decoder::Val() {
     case DataType::kTimestamp:
       return Value::Timestamp(I64());
     case DataType::kArray: {
+      if (depth_ == kMaxValueDepth) break;
       uint32_t n = U32();
       Array items;
+      ++depth_;
       for (uint32_t i = 0; i < n && ok_; ++i) items.push_back(Val());
+      --depth_;
       return Value::MakeArray(std::move(items));
     }
   }

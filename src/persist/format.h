@@ -84,12 +84,20 @@ class Encoder {
   std::string buf_;
 };
 
-/// Sequential reader over an encoded buffer. On underflow, a bad tag or a
-/// non-canonical varint (overlong, longer than 10 bytes, past 64 bits, or
-/// out of range for a U32/I32 field) the decoder latches a failure and every
-/// further read returns a zero value; callers decode a whole payload and
-/// then check ok() once. Element counts never reserve more elements than
-/// bytes remain, since every element takes at least one byte.
+/// Deepest array nesting Decoder::Val() accepts. Val() recurses once per
+/// nested kArray, so without a bound a CRC-valid payload of a million
+/// nested one-element arrays (2 MB) overflows the stack inside Recover. The
+/// engine builds nesting only through one array_construct call or one DT
+/// layer per level, so 1,024 levels is far deeper than any value it writes.
+constexpr int kMaxValueDepth = 1024;
+
+/// Sequential reader over an encoded buffer. On underflow, a bad tag, a
+/// value nested deeper than kMaxValueDepth arrays, or a non-canonical
+/// varint (overlong, longer than 10 bytes, past 64 bits, or out of range for
+/// a U32/I32 field) the decoder latches a failure and every further read
+/// returns a zero value; callers decode a whole payload and then check ok()
+/// once. Element counts never reserve more elements than bytes remain, since
+/// every element takes at least one byte.
 class Decoder {
  public:
   explicit Decoder(std::string_view data) : data_(data) {}
@@ -128,6 +136,7 @@ class Decoder {
 
   std::string_view data_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< Arrays Val() is currently inside.
   bool ok_ = true;
 };
 

@@ -72,10 +72,10 @@ QueryService::QueryService(DvsEngine* engine, ServeOptions options)
                       });
   reg.RegisterHistogramFn("serve.point_latency_us", "Point-lookup latency",
                           /*deterministic=*/false,
-                          [this] { return point_latency_.ExportData(); });
+                          [this] { return point_latency_.Export(); });
   reg.RegisterHistogramFn("serve.scan_latency_us", "Scan latency",
                           /*deterministic=*/false,
-                          [this] { return scan_latency_.ExportData(); });
+                          [this] { return scan_latency_.Export(); });
 }
 
 QueryService::~QueryService() {

@@ -1,21 +1,21 @@
-// Tests for src/obs/: metrics registry round-trips, histogram interchange
-// with the serve/bench twins, deterministic-text filtering, Prometheus
+// Tests for src/obs/: metrics registry round-trips, the histogram's bucket
+// math and quantile error bound, deterministic-text filtering, Prometheus
 // exposition, trace spans/recorder, and the REFRESH_HISTORY / GRAPH_HISTORY
 // table functions (including the worker-count determinism contract and the
 // no-introspection-in-definitions rule).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
+#include "common/rng.h"
 #include "obs/introspect.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
-#include "serve/latency.h"
 
 namespace dvs {
 namespace {
@@ -88,48 +88,129 @@ TEST(MetricsRegistryTest, HistogramMultiThreadRecordSnapshotText) {
   EXPECT_NE(text.find("lat.p99"), std::string::npos) << text;
 }
 
-// ---- Histogram interchange: the serve and bench twins share the exact
-// bucket layout, so exports merge losslessly into a registry histogram. ----
+// ---- Histogram: every percentile the serve front end and the benches
+// report comes from this bucket layout, so its error bound (within half a
+// sub-bucket, <= ~7% relative) is a tested contract, checked against exact
+// sorted-sample percentiles. ----
 
-TEST(HistogramInterchangeTest, ServeLatencyExportsIntoRegistry) {
-  serve::LatencyHistogram lh;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&lh, t] {
-      for (int i = 0; i < 5000; ++i) lh.Record(t * 37 + i);
-    });
+// Same rank rule as HistogramData::Quantile (smallest value whose cumulative
+// count reaches q*n), so on cliff-shaped distributions the two differ only
+// by bucket resolution, never by a rank off-by-one.
+double ExactQuantile(std::vector<int64_t> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double n = static_cast<double>(values.size());
+  size_t target = static_cast<size_t>(q * n + 0.999999);
+  if (target == 0) target = 1;
+  if (target > values.size()) target = values.size();
+  return static_cast<double>(values[target - 1]);
+}
+
+TEST(HistogramDataTest, EmptyAndSingleValue) {
+  obs::HistogramData h;
+  EXPECT_EQ(h.count, 0u);
+  EXPECT_EQ(h.Quantile(0.5), 0.0);
+  EXPECT_EQ(h.Mean(), 0.0);
+
+  h.Add(42);
+  EXPECT_EQ(h.count, 1u);
+  EXPECT_EQ(h.max, 42);
+  EXPECT_NEAR(h.Quantile(0.0), 42.0, 3.0);
+  EXPECT_NEAR(h.Quantile(1.0), 42.0, 3.0);
+  EXPECT_EQ(h.Mean(), 42.0);
+}
+
+TEST(HistogramDataTest, SmallValuesAreExact) {
+  obs::HistogramData h;
+  for (int64_t v = 0; v < 8; ++v) {
+    for (int i = 0; i <= v; ++i) h.Add(v);  // value v appears v+1 times
   }
-  for (auto& th : threads) th.join();
-
-  obs::Registry reg;
-  reg.RegisterHistogramFn("serve.lat", "scraped", false,
-                          [&lh] { return lh.ExportData(); });
-  obs::MetricsSnapshot snap = reg.Snapshot();
-  const obs::MetricSample* s = snap.Find("serve.lat");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->histogram.count, lh.count());
-  EXPECT_EQ(s->histogram.sum, lh.sum_us());
-  // Same bucket layout -> identical quantile estimates.
-  EXPECT_DOUBLE_EQ(s->histogram.Quantile(0.99), lh.P99Us());
+  // Values below 8 land in unit-width buckets: quantiles are exact.
+  EXPECT_EQ(h.Quantile(0.99), 7.0);
+  EXPECT_EQ(h.Quantile(0.01), 0.0);
+  EXPECT_EQ(h.max, 7);
 }
 
-TEST(HistogramInterchangeTest, BenchStreamingMergesIntoObsHistogram) {
-  bench::StreamingHistogram sh;
-  for (int i = 0; i < 3000; ++i) sh.Add(i * 3);
+TEST(HistogramDataTest, QuantilesTrackExactPercentiles) {
+  Rng rng(1234);
+  obs::HistogramData h;
+  std::vector<int64_t> values;
+  // A skewed mix: mostly small, a heavy tail — the shape latencies have.
+  for (int i = 0; i < 20000; ++i) {
+    int64_t v = rng.Bernoulli(0.95) ? rng.Uniform(10, 2000)
+                                    : rng.Uniform(2000, 500000);
+    values.push_back(v);
+    h.Add(v);
+  }
+  EXPECT_EQ(h.count, values.size());
+  for (double q : {0.5, 0.9, 0.95, 0.99}) {
+    const double exact = ExactQuantile(values, q);
+    EXPECT_NEAR(h.Quantile(q), exact, 0.08 * exact) << "q=" << q;
+  }
+}
 
+TEST(HistogramDataTest, MergeEqualsCombinedStream) {
+  Rng rng(99);
+  obs::HistogramData a, b, combined;
+  for (int i = 0; i < 5000; ++i) {
+    int64_t v = rng.Uniform(0, 100000);
+    (i % 2 ? a : b).Add(v);
+    combined.Add(v);
+  }
+  a.Merge(b);
+  EXPECT_EQ(a.count, combined.count);
+  EXPECT_EQ(a.max, combined.max);
+  EXPECT_EQ(a.Mean(), combined.Mean());
+  for (double q : {0.5, 0.95, 0.99}) {
+    EXPECT_EQ(a.Quantile(q), combined.Quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(HistogramDataTest, BucketMathRoundTrips) {
+  // Every bucket's midpoint maps back into that bucket, and a value's
+  // midpoint is within half a sub-bucket width of the value, at every
+  // magnitude up to the top bucket.
+  for (uint64_t v : {0ull, 1ull, 7ull, 8ull, 9ull, 63ull, 64ull, 1000ull,
+                     123456ull, 99999999ull, 123456789ull, ~0ull}) {
+    const size_t idx = obs::HistogramData::BucketIndex(v);
+    ASSERT_LT(idx, obs::HistogramData::kBuckets) << "v=" << v;
+    const double mid = obs::HistogramData::BucketMidpoint(idx);
+    EXPECT_NEAR(mid, static_cast<double>(v),
+                std::max(1.0, 0.07 * static_cast<double>(v)))
+        << "v=" << v;
+    EXPECT_EQ(obs::HistogramData::BucketIndex(static_cast<uint64_t>(mid)),
+              idx)
+        << "v=" << v;
+  }
+  // Negatives clamp to zero rather than indexing out of range.
+  obs::HistogramData h;
+  h.Add(-5);
+  EXPECT_EQ(h.count, 1u);
+  EXPECT_EQ(h.Quantile(0.5), 0.0);
+}
+
+TEST(HistogramTest, RecordExportsCountMaxAndQuantiles) {
   obs::Histogram h;
-  h.Merge(sh.ExportData());
-  h.Merge(sh.ExportData());  // merge twice: counts add bucket-wise
-  obs::HistogramData d = h.Export();
-  EXPECT_EQ(d.count, 2 * sh.count());
-  EXPECT_DOUBLE_EQ(d.Quantile(0.5), sh.Quantile(0.5));
-}
+  obs::HistogramData empty = h.Export();
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_TRUE(empty.buckets.empty());
+  EXPECT_EQ(empty.Quantile(0.5), 0.0);
 
-TEST(HistogramInterchangeTest, EmptyExportIsEmpty) {
-  serve::LatencyHistogram lh;
-  obs::HistogramData d = lh.ExportData();
-  EXPECT_EQ(d.count, 0u);
-  EXPECT_TRUE(d.buckets.empty());
+  // Exact region: values < 8 land in unit buckets with zero error.
+  for (int i = 0; i < 100; ++i) h.Record(3);
+  obs::HistogramData d = h.Export();
+  EXPECT_EQ(d.Quantile(0.5), 3.0);
+  EXPECT_EQ(h.count(), 100u);
+  EXPECT_EQ(d.max, 3);
+
+  // Log region: 1000 values 0..999, quantiles within a sub-bucket (~6%).
+  obs::Histogram wide;
+  for (int i = 0; i < 1000; ++i) wide.Record(i);
+  d = wide.Export();
+  EXPECT_EQ(d.count, 1000u);
+  EXPECT_EQ(d.sum, 999u * 1000u / 2);
+  EXPECT_EQ(d.max, 999);
+  EXPECT_NEAR(d.Quantile(0.50), 500.0, 0.07 * 500);
+  EXPECT_NEAR(d.Quantile(0.99), 990.0, 0.07 * 990);
 }
 
 // ---- Text encodings ----

@@ -3,7 +3,8 @@
 // encodings the decoder rejects), values/rows/change sets, WAL record
 // payloads, the system image, the framed record file (including torn-tail,
 // corruption and version behavior), and hostile payloads whose inflated
-// counts must come back as a Status, never as an exception.
+// counts or nesting depth must come back as a Status, never as an exception
+// or a stack overflow.
 
 #include <gtest/gtest.h>
 
@@ -286,9 +287,10 @@ TEST(HostileCountTest, WalDecodersReturnCorruption) {
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
 }
 
-TEST(HostileCountTest, CheckpointWithInflatedPartitionReturnsCorruption) {
-  // A system image with one table whose only partition claims 0xFFFFFFF0
-  // rows — laid out field by field as EncodeSystemImage writes it.
+// A system image with one table whose one partition holds the rows the
+// caller appends next — laid out field by field as EncodeSystemImage writes
+// it, up to and including the partition id.
+Encoder OnePartitionImagePrefix() {
   Encoder e;
   e.Hlc({1000, 0});
   e.I64(1000);         // clock_now
@@ -305,9 +307,15 @@ TEST(HostileCountTest, CheckpointWithInflatedPartitionReturnsCorruption) {
   e.U32(0);            // versions
   e.U32(1);            // partitions
   e.U64(1);            // partition id
-  e.U32(kInflatedCount);
+  return e;
+}
 
-  std::string dir = TempPath("hostile_ckpt");
+// Writes `image` as the only checkpoint of a fresh directory `name`, then
+// expects both the checkpoint reader and recovery over the directory to
+// report Corruption as a Status.
+void ExpectCheckpointCorruption(const std::string& name,
+                                const std::string& image) {
+  std::string dir = TempPath(name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   std::string path = CheckpointPath(dir, 1);
@@ -316,7 +324,7 @@ TEST(HostileCountTest, CheckpointWithInflatedPartitionReturnsCorruption) {
     // persist/snapshot.cc).
     RecordFileWriter w;
     ASSERT_TRUE(w.Open(path, kCheckpointMagic, 1).ok());
-    ASSERT_TRUE(w.Append(1, e.buf()).ok());
+    ASSERT_TRUE(w.Append(1, image).ok());
     ASSERT_TRUE(w.Append(2, "").ok());
   }
 
@@ -324,12 +332,73 @@ TEST(HostileCountTest, CheckpointWithInflatedPartitionReturnsCorruption) {
   EXPECT_NO_THROW(read = ReadCheckpointFile(path, nullptr));
   EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
 
-  // Recovery over the directory reports the bad checkpoint as a Status.
   VirtualClock clock(0);
   Result<RecoveredSystem> recovered = Corruption("unset");
   EXPECT_NO_THROW(recovered = Recover(dir, &clock));
   EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
   fs::remove_all(dir);
+}
+
+TEST(HostileCountTest, CheckpointWithInflatedPartitionReturnsCorruption) {
+  // The only partition claims 0xFFFFFFF0 rows.
+  Encoder e = OnePartitionImagePrefix();
+  e.U32(kInflatedCount);
+  ExpectCheckpointCorruption("hostile_ckpt", e.buf());
+}
+
+// ---- Hostile nesting: each nested array is one more Decoder::Val() stack
+// frame, so the decoder refuses values deeper than kMaxValueDepth before it
+// builds them.
+
+// `depth` one-element arrays around Int(7).
+Value NestedArray(int depth) {
+  Value v = Value::Int(7);
+  for (int i = 0; i < depth; ++i) v = Value::MakeArray({v});
+  return v;
+}
+
+// The bytes Encoder::Val writes for NestedArray(depth), without building
+// the value (or recursing) on the encoding side.
+void AppendNestedArray(Encoder* e, int depth) {
+  for (int i = 0; i < depth; ++i) {
+    e->U8(static_cast<uint8_t>(DataType::kArray));
+    e->U32(1);
+  }
+  e->Val(Value::Int(7));
+}
+
+TEST(HostileDepthTest, ValueAtTheBoundRoundTrips) {
+  const Value v = NestedArray(kMaxValueDepth);
+  Encoder e;
+  e.Val(v);
+  Encoder raw;
+  AppendNestedArray(&raw, kMaxValueDepth);
+  EXPECT_EQ(e.buf(), raw.buf());
+  Decoder d(e.buf());
+  Value back = d.Val();
+  ASSERT_TRUE(d.done());
+  EXPECT_TRUE(RowsEqual({back}, {v}));
+}
+
+TEST(HostileDepthTest, OneLevelPastTheBoundIsCorruption) {
+  Encoder e;
+  AppendNestedArray(&e, kMaxValueDepth + 1);
+  Decoder d(e.buf());
+  Value back;
+  EXPECT_NO_THROW(back = d.Val());
+  EXPECT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kCorruption);
+}
+
+TEST(HostileDepthTest, DeeplyNestedCheckpointValueReturnsCorruption) {
+  // One row whose one value is 100k nested one-element arrays: 200 KB of
+  // CRC-valid payload that would recurse 100k frames deep without the bound.
+  Encoder e = OnePartitionImagePrefix();
+  e.U32(1);  // rows
+  e.U64(1);  // row id
+  e.U32(1);  // values
+  AppendNestedArray(&e, 100000);
+  ExpectCheckpointCorruption("hostile_depth", e.buf());
 }
 
 TEST(WalCodecTest, CommitRoundTrip) {

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <thread>
 
-#include "serve/latency.h"
 #include "serve/query_service.h"
 #include "storage/batch_scan.h"
 
@@ -294,43 +293,47 @@ TEST(ServeTest, BatchCacheServesIdenticalBytes) {
   EXPECT_EQ(uncached.stats().cache_hits, 0u);
 }
 
-TEST(ServeTest, LatencyHistogramQuantiles) {
-  serve::LatencyHistogram h;
-  EXPECT_EQ(h.QuantileUs(0.5), 0.0);  // empty
+TEST(ServeTest, ReadLatenciesScrapeThroughRegistry) {
+  VirtualClock clock(0);
+  DvsEngine engine(clock);
+  Exec(engine, "CREATE TABLE t (k INT, v INT)");
+  Exec(engine, "INSERT INTO t VALUES (1, 10), (2, 20)");
+  clock.AdvanceTo(kMicrosPerSecond);
 
-  // Exact region: values < 8us land in unit buckets with zero error.
-  for (int i = 0; i < 100; ++i) h.Record(3);
-  EXPECT_EQ(h.P50Us(), 3.0);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.max_us(), 3);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
+  obs::Registry reg;
+  serve::ServeOptions opts;
+  opts.metrics = &reg;
+  {
+    serve::QueryService service(&engine, opts);
+    serve::ReadQuery q;
+    q.table = engine.ObjectIdOf("t").value();
+    q.read_ts = clock.Now();
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.Execute(q).ok());
+    q.kind = serve::ReadKind::kPointLookup;
+    q.key_column = 0;
+    q.key = Value::Int(2);
+    ASSERT_TRUE(service.Execute(q).ok());
+    q.table = kInvalidObjectId;  // fails, and records no latency
+    ASSERT_FALSE(service.Execute(q).ok());
 
-  // Log region: 1000 values 0..999, quantiles within a sub-bucket (~6%).
-  for (int i = 0; i < 1000; ++i) h.Record(i);
-  EXPECT_NEAR(h.P50Us(), 500.0, 0.07 * 500);
-  EXPECT_NEAR(h.P99Us(), 990.0, 0.07 * 990);
-  EXPECT_EQ(h.max_us(), 999);
-
-  // Bucket math round-trips: a value's bucket midpoint is within half a
-  // sub-bucket of the value, at every magnitude.
-  for (uint64_t v : {0ull, 7ull, 8ull, 1000ull, 123456ull, 99999999ull}) {
-    const size_t idx = serve::LatencyHistogram::BucketIndex(v);
-    const double mid = serve::LatencyHistogram::BucketMidpoint(idx);
-    EXPECT_NEAR(mid, static_cast<double>(v),
-                std::max(1.0, 0.07 * static_cast<double>(v)))
-        << "v=" << v;
+    EXPECT_EQ(service.scan_latency().count(), 3u);
+    EXPECT_EQ(service.point_latency().count(), 1u);
+    // The registry callbacks scrape the same member histograms.
+    const obs::MetricsSnapshot snap = reg.Snapshot();
+    for (const auto& [name, h] :
+         {std::pair{"serve.scan_latency_us", &service.scan_latency()},
+          std::pair{"serve.point_latency_us", &service.point_latency()}}) {
+      const obs::MetricSample* s = snap.Find(name);
+      ASSERT_NE(s, nullptr) << name;
+      EXPECT_EQ(s->kind, obs::MetricKind::kHistogram);
+      const obs::HistogramData d = h->Export();
+      EXPECT_EQ(s->histogram.count, d.count) << name;
+      EXPECT_EQ(s->histogram.sum, d.sum) << name;
+      EXPECT_EQ(s->histogram.max, d.max) << name;
+    }
   }
-
-  // Concurrent recording is clean (exercised under TSan).
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&h, t] {
-      for (int i = 0; i < 1000; ++i) h.Record(t * 100 + i % 50);
-    });
-  }
-  for (auto& t : writers) t.join();
-  EXPECT_EQ(h.count(), 5000u);
+  // The service unregisters its callbacks when it dies.
+  EXPECT_EQ(reg.Snapshot().Find("serve.scan_latency_us"), nullptr);
 }
 
 }  // namespace
