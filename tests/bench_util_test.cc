@@ -1,112 +1,128 @@
-// Tests for bench/bench_util.h helpers. The StreamingHistogram feeds every
-// percentile number the experiment binaries report (E19's read latencies,
-// refresh-lag distributions), so its error bound — within half a sub-bucket,
-// <= ~7% relative — is itself a tested contract, checked against exact
-// sorted-sample percentiles.
+// Tests for bench/bench_util.h helpers. Every BENCH_E*.json file the
+// experiment binaries write goes through BenchJson, and later changes compare
+// those files key by key, so the JSON layout, the string escaping and the
+// canonical read-latency key spellings are checked here, along with the
+// PASS/FAIL tally the shape checks exit on.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "bench_util.h"
-#include "common/rng.h"
 
 namespace dvs {
 namespace {
 
-// Same rank convention as StreamingHistogram::Quantile (smallest value with
-// cumulative count >= ceil(q*n)), so on cliff-shaped distributions the two
-// differ only by bucket resolution, never by a rank-off-by-one.
-double ExactQuantile(std::vector<int64_t> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double n = static_cast<double>(values.size());
-  size_t target = static_cast<size_t>(q * n + 0.999999);
-  if (target == 0) target = 1;
-  if (target > values.size()) target = values.size();
-  return static_cast<double>(values[target - 1]);
+TEST(BenchJsonTest, ObjSerializesFieldsInInsertionOrder) {
+  bench::BenchJson::Obj o;
+  o.Int("rows", -42).Num("wall_s", 0.125).Bool("ok", true).Bool("bad", false)
+      .Str("mode", "incremental");
+  EXPECT_EQ(o.ToJson(),
+            "{\"rows\": -42, \"wall_s\": 0.125, \"ok\": true, "
+            "\"bad\": false, \"mode\": \"incremental\"}");
+  EXPECT_EQ(bench::BenchJson::Obj().ToJson(), "{}");
 }
 
-TEST(StreamingHistogramTest, EmptyAndSingleValue) {
-  bench::StreamingHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_EQ(h.Mean(), 0.0);
-
-  h.Add(42);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.max(), 42);
-  EXPECT_NEAR(h.Quantile(0.0), 42.0, 3.0);
-  EXPECT_NEAR(h.Quantile(1.0), 42.0, 3.0);
-  EXPECT_EQ(h.Mean(), 42.0);
+TEST(BenchJsonTest, NumKeepsSixSignificantDigits) {
+  bench::BenchJson::Obj o;
+  o.Num("a", 1234567.0).Num("b", 0.000123456789).Num("c", 3.0);
+  EXPECT_EQ(o.ToJson(), "{\"a\": 1.23457e+06, \"b\": 0.000123457, \"c\": 3}");
 }
 
-TEST(StreamingHistogramTest, SmallValuesAreExact) {
-  bench::StreamingHistogram h;
-  for (int64_t v = 0; v < 8; ++v) {
-    for (int i = 0; i <= v; ++i) h.Add(v);  // value v appears v+1 times
-  }
-  // Values below 8 land in unit-width buckets: quantiles are exact.
-  EXPECT_EQ(h.Quantile(0.99), 7.0);
-  EXPECT_EQ(h.Quantile(0.01), 0.0);
-  EXPECT_EQ(h.max(), 7);
+TEST(BenchJsonTest, StringsAndKeysAreEscaped) {
+  bench::BenchJson::Obj o;
+  o.Str("q\"k", "say \"hi\"\\path\nnext");
+  EXPECT_EQ(o.ToJson(),
+            "{\"q\\\"k\": \"say \\\"hi\\\"\\\\path\\nnext\"}");
 }
 
-TEST(StreamingHistogramTest, QuantilesTrackExactPercentiles) {
-  Rng rng(1234);
-  bench::StreamingHistogram h;
-  std::vector<int64_t> values;
-  // A skewed mix: mostly small, a heavy tail — the shape latencies have.
-  for (int i = 0; i < 20000; ++i) {
-    int64_t v = rng.Bernoulli(0.95) ? rng.Uniform(10, 2000)
-                                    : rng.Uniform(2000, 500000);
-    values.push_back(v);
-    h.Add(v);
-  }
-  EXPECT_EQ(h.count(), values.size());
-  for (double q : {0.5, 0.9, 0.95, 0.99}) {
-    const double exact = ExactQuantile(values, q);
-    EXPECT_NEAR(h.Quantile(q), exact, 0.08 * exact) << "q=" << q;
-  }
+TEST(BenchJsonTest, AddReadLatencyUsesCanonicalKeys) {
+  bench::BenchJson::Obj point;
+  bench::AddReadLatency(point.Int("dts", 10), 0.5, 2.25, 1000.0)
+      .Bool("digest_match", true);
+  EXPECT_EQ(point.ToJson(),
+            "{\"dts\": 10, \"read_p50_ms\": 0.5, \"read_p99_ms\": 2.25, "
+            "\"qps\": 1000, \"digest_match\": true}");
 }
 
-TEST(StreamingHistogramTest, MergeEqualsCombinedStream) {
-  Rng rng(99);
-  bench::StreamingHistogram a, b, combined;
-  for (int i = 0; i < 5000; ++i) {
-    int64_t v = rng.Uniform(0, 100000);
-    (i % 2 ? a : b).Add(v);
-    combined.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.max(), combined.max());
-  EXPECT_EQ(a.Mean(), combined.Mean());
-  for (double q : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(a.Quantile(q), combined.Quantile(q)) << "q=" << q;
-  }
+TEST(BenchJsonTest, MachineMetaNamesItsSource) {
+  bench::BenchJson json("UTILTEST", "machine meta");
+  json.AddMachineMeta("abc123");
+  const std::string meta = json.meta().ToJson();
+  EXPECT_NE(meta.find("\"hardware_threads\": "), std::string::npos) << meta;
+  EXPECT_NE(meta.find("\"build_type\": \""), std::string::npos) << meta;
+  EXPECT_NE(meta.find("\"compiler\": \""), std::string::npos) << meta;
+  EXPECT_NE(meta.find("\"git_sha\": \"abc123\""), std::string::npos) << meta;
 }
 
-TEST(StreamingHistogramTest, BucketMathRoundTrips) {
-  // Every bucket's midpoint maps back into that bucket, and a value's
-  // midpoint is within half a sub-bucket width of the value.
-  for (uint64_t v : {0ull, 1ull, 7ull, 8ull, 9ull, 63ull, 64ull, 1000ull,
-                     123456789ull}) {
-    const size_t idx = bench::StreamingHistogram::BucketIndex(v);
-    const double mid = bench::StreamingHistogram::BucketMidpoint(idx);
-    EXPECT_NEAR(mid, static_cast<double>(v),
-                std::max(1.0, 0.07 * static_cast<double>(v)))
-        << "v=" << v;
-    EXPECT_EQ(bench::StreamingHistogram::BucketIndex(
-                  static_cast<uint64_t>(mid)),
-              idx)
-        << "v=" << v;
-  }
-  // Negatives clamp to zero rather than indexing out of range.
-  bench::StreamingHistogram h;
-  h.Add(-5);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
+TEST(BenchJsonTest, WriteFileSplicesMetaAndPoints) {
+  bench::BenchJson json("UTILTEST", "two \"points\"");
+  json.meta().Int("seed", 7);
+  json.AddPoint().Int("n", 1);
+  json.AddPoint().Int("n", 2).Str("tier", "10k");
+  const std::string path = json.WriteFile();
+  ASSERT_EQ(path, "BENCH_UTILTEST.json");
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream body;
+  body << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(body.str(),
+            "{\"experiment\": \"UTILTEST\", "
+            "\"description\": \"two \\\"points\\\"\", "
+            "\"meta\": {\"seed\": 7}, \"points\": [\n"
+            "  {\"n\": 1},\n"
+            "  {\"n\": 2, \"tier\": \"10k\"}\n"
+            "]}\n");
+}
+
+TEST(BenchJsonTest, WriteFileWithNoPointsIsAnEmptyArray) {
+  bench::BenchJson json("UTILTEST", "empty");
+  const std::string path = json.WriteFile();
+  ASSERT_EQ(path, "BENCH_UTILTEST.json");
+  std::ifstream in(path);
+  std::stringstream body;
+  body << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(body.str(),
+            "{\"experiment\": \"UTILTEST\", \"description\": \"empty\", "
+            "\"meta\": {}, \"points\": [\n]}\n");
+}
+
+TEST(BenchUtilTest, BarRoundsAndClampsToWidth) {
+  EXPECT_EQ(bench::Bar(0.0), "");
+  EXPECT_EQ(bench::Bar(0.5, 10), "#####");
+  EXPECT_EQ(bench::Bar(0.26, 10), "###");  // 2.6 rounds to 3
+  EXPECT_EQ(bench::Bar(1.0, 10), "##########");
+  EXPECT_EQ(bench::Bar(3.0, 10), "##########");  // over-full clamps
+  EXPECT_EQ(bench::Bar(1.0).size(), 40u);
+}
+
+TEST(BenchUtilTest, CheckCountsFailuresAndFinishReportsThem) {
+  bench::g_failures = 0;
+  bench::Check(true, "a claim that holds");
+  EXPECT_EQ(bench::g_failures, 0);
+  EXPECT_EQ(bench::Finish(), 0);
+  bench::Check(false, "a claim that fails");
+  bench::Check(false, "another claim that fails");
+  EXPECT_EQ(bench::g_failures, 2);
+  EXPECT_EQ(bench::Finish(), 1);
+  bench::g_failures = 0;
+}
+
+TEST(BenchUtilTest, WallTimerIsMonotonicAndResets) {
+  bench::WallTimer t;
+  const double first = t.Seconds();
+  EXPECT_GE(first, 0.0);
+  EXPECT_GE(t.Seconds(), first);
+  t.Reset();
+  EXPECT_GE(t.Seconds(), 0.0);
 }
 
 }  // namespace
